@@ -143,10 +143,13 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.matmul(x, w) + b
 
 
-def natten_block(x: Tensor, params: dict[str, Tensor], prefix: str,
-                 extents: tuple[int, int, int], window: tuple[int, int, int],
-                 heads: int) -> Tensor:
-    """One pre-norm neighborhood attention block on tokens x (T, dim)."""
+def _attention(x: Tensor, params: dict[str, Tensor], prefix: str,
+               extents: tuple[int, int, int], window: tuple[int, int, int], heads: int):
+    """LN1 -> q/k -> rotary -> neighborhood scores -> softmax.
+
+    Returns the normalized tokens, the neighbor table (T, K) and the
+    attention weights (T, heads, 1, K).
+    """
     t, dim = x.shape
     d, h, w = extents
     if t != d * h * w:
@@ -155,7 +158,6 @@ def natten_block(x: Tensor, params: dict[str, Tensor], prefix: str,
         raise ConfigError(f"dim {dim} not divisible by heads {heads}")
     dh = dim // heads
     table = neighborhood(extents, window)  # (T, K), validates window fit
-    k_count = table.shape[1]
     cos_np, sin_np = rotary_tables(extents, dh)
     cos = Tensor(cos_np, copy=False)
     sin = Tensor(sin_np, copy=False)
@@ -166,15 +168,28 @@ def natten_block(x: Tensor, params: dict[str, Tensor], prefix: str,
     hn = ad.layernorm(x, p("ln1.gain"), p("ln1.bias"))
     q = _linear(hn, p("attn.wq"), p("attn.bq")).reshape(t, heads, dh)
     k = _linear(hn, p("attn.wk"), p("attn.bk")).reshape(t, heads, dh)
-    v = _linear(hn, p("attn.wv"), p("attn.bv")).reshape(t, heads, dh)
     q = apply_rotary(q, cos, sin)
     k = apply_rotary(k, cos, sin)
 
     k_n = ad.take(k, table).transpose(0, 2, 1, 3)  # (T, heads, K, dh)
-    v_n = ad.take(v, table).transpose(0, 2, 1, 3)
     q4 = q.reshape(t, heads, 1, dh) * (1.0 / math.sqrt(dh))
     scores = ad.matmul(q4, k_n.transpose(0, 1, 3, 2))  # (T, heads, 1, K)
-    attn = ad.softmax(scores, axis=-1)
+    return hn, table, ad.softmax(scores, axis=-1)
+
+
+def natten_block(x: Tensor, params: dict[str, Tensor], prefix: str,
+                 extents: tuple[int, int, int], window: tuple[int, int, int],
+                 heads: int) -> Tensor:
+    """One pre-norm neighborhood attention block on tokens x (T, dim)."""
+
+    def p(name):
+        return params[f"{prefix}.{name}"]
+
+    hn, table, attn = _attention(x, params, prefix, extents, window, heads)
+    t, dim = x.shape
+    dh = dim // heads
+    v = _linear(hn, p("attn.wv"), p("attn.bv")).reshape(t, heads, dh)
+    v_n = ad.take(v, table).transpose(0, 2, 1, 3)  # (T, heads, K, dh)
     ctx = ad.matmul(attn, v_n).reshape(t, dim)
     x = x + _linear(ctx, p("attn.wo"), p("attn.bo"))
 
@@ -189,24 +204,6 @@ def attention_weights(x_values: np.ndarray, params: dict[str, Tensor], prefix: s
                       heads: int) -> np.ndarray:
     """Softmax attention matrix (T, heads, K) for inspection, no tape."""
     with ad.no_grad():
-        t, dim = x_values.shape
-        dh = dim // heads
-        table = neighborhood(extents, window)
-        cos_np, sin_np = rotary_tables(extents, dh)
-        cos = Tensor(cos_np, copy=False)
-        sin = Tensor(sin_np, copy=False)
-        x = Tensor(x_values)
-
-        def p(name):
-            return params[f"{prefix}.{name}"]
-
-        hn = ad.layernorm(x, p("ln1.gain"), p("ln1.bias"))
-        q = _linear(hn, p("attn.wq"), p("attn.bq")).reshape(t, heads, dh)
-        k = _linear(hn, p("attn.wk"), p("attn.bk")).reshape(t, heads, dh)
-        q = apply_rotary(q, cos, sin)
-        k = apply_rotary(k, cos, sin)
-        k_n = ad.take(k, table).transpose(0, 2, 1, 3)
-        q4 = q.reshape(t, heads, 1, dh) * (1.0 / math.sqrt(dh))
-        scores = ad.matmul(q4, k_n.transpose(0, 1, 3, 2))
-        attn = ad.softmax(scores, axis=-1)
-        return attn.values.reshape(t, heads, table.shape[1])
+        _, table, attn = _attention(Tensor(x_values), params, prefix, extents,
+                                    window, heads)
+    return attn.values.reshape(x_values.shape[0], heads, table.shape[1])

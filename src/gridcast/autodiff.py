@@ -1,8 +1,10 @@
 """Minimal dense-tensor library with reverse-mode automatic differentiation.
 
 Double-precision numpy arrays under the hood, a tape built implicitly out of
-node references, and a segment-checkpoint hook that discards intermediates
-on the forward pass and recomputes them during backward.  All primitives are
+node references, and one segment-checkpoint mechanism that discards
+intermediates on the forward pass and recomputes them during backward.  A
+segment's input is kept by a store: pinned on the tape by default, or copied
+out to host storage by offload.OffloadEngine.  All primitives are
 deterministic: two runs over identical inputs produce bitwise-identical
 outputs and gradients, which is what lets checkpointed and non-checkpointed
 executions be compared exactly.
@@ -34,8 +36,6 @@ __all__ = [
     "tape_stats",
     "reset_tape_stats",
     "set_alloc_observer",
-    "apply_op",
-    "PRIMITIVES",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -859,60 +859,61 @@ def backward(root: Tensor, seed=None, leaves: Iterable[Tensor] | None = None):
     return grads
 
 
-def current_gen() -> int:
-    """Monotone node-creation counter, for recompute escape detection."""
-    return _GEN
-
-
-def nested_backward(root: Tensor, seed, min_gen: int):
-    """Differentiate a recomputed segment inside an outer backward.
-
-    Returns {leaf: grad} without touching .grad attributes.  Reaching any
-    node recorded before min_gen raises GraphError: the recompute escaped
-    into the outer graph.
-    """
-    return _backward_impl(root, np.asarray(seed, dtype=np.float64),
-                          set_grad_attr=False, min_gen=min_gen)
-
-
-def record_segment(op: str, out_values, x: Tensor, saved, rule) -> Tensor:
-    """Record a custom segment boundary with an explicit backward rule.
-
-    The node exists even when x carries no gradient, because the rule may
-    route gradients to parameters captured inside the segment.  rule is
-    called as rule(grad_out, saved, acc) like any TapeNode rule.
-    """
-    node = TapeNode(op, (x,), saved, rule)
-    return Tensor(out_values, requires_grad=True, node=node, copy=False)
-
-
 # ---------------------------------------------------------------------------
 # segment checkpointing
 # ---------------------------------------------------------------------------
 
-def checkpoint_segment(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
+class _PinnedInput:
+    """Default segment store: the input array is pinned on the tape node."""
+
+    @staticmethod
+    def keep(x: Tensor, forward):
+        return (x.values,), None, forward()
+
+    @staticmethod
+    def restore(saved, key, replay):
+        return replay(saved[0])
+
+
+def checkpoint_segment(fn: Callable[[Tensor], Tensor], x: Tensor, store=None) -> Tensor:
     """Run fn(x) without recording its interior; recompute it in backward.
 
     fn must be a pure function of x and of leaf parameters it closes over.
     Gradients are bitwise-identical to the non-checkpointed execution because
-    every primitive is deterministic.  Only the segment input is pinned on
-    the tape (one saved array per segment instead of one per interior op).
+    every primitive is deterministic.  Only the segment input is kept for
+    backward, by the store: the default pins it on the tape (one saved array
+    per segment instead of one per interior op); an offload.OffloadEngine
+    copies it out to host storage instead.  Under no_grad this is fn(x) and
+    the store is not touched.
+
+    A store has two methods.  store.keep(x, forward) runs forward() and
+    returns (saved, key, y): the arrays the tape node pins, a key for the
+    kept input, and forward()'s output.  store.restore(saved, key, replay)
+    runs in backward and returns replay(input_array).
     """
     x._check_alive("checkpoint_segment")
     if not _state.grad_enabled:
         return fn(x)
-    with no_grad():
-        y = fn(Tensor(x.values, copy=False))
+    store = _PinnedInput if store is None else store
+    x_in = Tensor(x.values, copy=False)
+
+    def forward():
+        with no_grad():
+            return fn(x_in)
+
+    saved, key, y = store.keep(x, forward)
 
     def rule(g, saved, acc):
-        (xv,) = saved
-        start_gen = _GEN + 1
-        with enable_grad():
-            x_re = Tensor(xv, requires_grad=True, copy=False)
-            y_re = fn(x_re)
-            sub = _backward_impl(y_re, np.asarray(g, dtype=np.float64),
-                                 set_grad_attr=False, min_gen=start_gen)
-        gx = sub.pop(x_re, None)
+        def replay(xv):
+            start_gen = _GEN + 1
+            with enable_grad():
+                x_re = Tensor(xv, requires_grad=True, copy=False)
+                y_re = fn(x_re)
+                sub = _backward_impl(y_re, np.asarray(g, dtype=np.float64),
+                                     set_grad_attr=False, min_gen=start_gen)
+            return sub.pop(x_re, None), sub
+
+        gx, sub = store.restore(saved, key, replay)
         if gx is not None:
             acc(x, gx)
         for p, gp in sub.items():
@@ -920,37 +921,5 @@ def checkpoint_segment(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
 
     # node exists regardless of x.requires_grad: captured parameters inside
     # fn still need their gradients routed on the recompute pass
-    node = TapeNode("checkpoint", (x,), (x.values,), rule)
+    node = TapeNode("checkpoint", (x,), saved, rule)
     return Tensor(y.values, requires_grad=True, node=node, copy=False)
-
-
-# ---------------------------------------------------------------------------
-# generic dispatch, for tests that sweep the primitive set
-# ---------------------------------------------------------------------------
-
-PRIMITIVES = {
-    "add": add,
-    "mul": mul,
-    "matmul": matmul,
-    "gelu": gelu,
-    "softmax": softmax,
-    "layernorm": layernorm,
-    "sum": reduce_sum,
-    "mean": reduce_mean,
-    "reshape": reshape,
-    "transpose": transpose,
-    "concat": concat,
-    "getitem": getitem,
-    "take": take,
-    "pad": pad,
-    "conv": conv,
-    "conv_transpose": conv_transpose,
-}
-
-
-def apply_op(op: str, *args, **kwargs) -> Tensor:
-    """Apply a primitive by name; unknown names raise ShapeError."""
-    fn = PRIMITIVES.get(op)
-    if fn is None:
-        raise ShapeError(f"apply_op: unknown primitive {op!r}")
-    return fn(*args, **kwargs)

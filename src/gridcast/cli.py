@@ -31,7 +31,8 @@ from .autodiff import Tensor, backward
 from .errors import ConfigError, DataError
 from .model import (
     available_sources,
-    blend_latents,
+    blend_sources,
+    config_to_dict,
     decode,
     encode,
     init_model_params,
@@ -91,20 +92,6 @@ def write_manifest(target, command, config: dict, seed, outputs, wall_time_s):
     return path
 
 
-def _config_dict(cfg) -> dict:
-    g = cfg.grid
-    return {"rows": g.rows, "cols": g.cols, "north_lat": g.north_lat,
-            "lat_step": g.lat_step, "lon_step": g.lon_step,
-            "surface_in": cfg.surface_in, "surface_out": cfg.surface_out,
-            "atmos_vars": cfg.atmos_vars, "levels": cfg.levels,
-            "level_patch": cfg.level_patch, "stem_channels": cfg.stem_channels,
-            "stage_channels": list(cfg.stage_channels), "hidden": cfg.hidden,
-            "heads": cfg.heads, "window": list(cfg.window),
-            "enc_blocks": cfg.enc_blocks, "dec_blocks": cfg.dec_blocks,
-            "proc_blocks": cfg.proc_blocks, "horizons": list(cfg.horizons),
-            "max_dt": cfg.max_dt}
-
-
 def _load_params_tensors(path) -> dict:
     return {k: Tensor(v, requires_grad=True)
             for k, v in load_params_file(path).items()}
@@ -124,7 +111,7 @@ def _cmd_gen_data(args, argv) -> int:
     out = _resolve_out(args.out)
     _ensure_parent(out)
     save_dataset_file(ds, out)
-    write_manifest(out, argv, _config_dict(cfg), args.seed, [out],
+    write_manifest(out, argv, config_to_dict(cfg), args.seed, [out],
                    time.time() - t0)
     print(f"wrote {out}: {ds.n_times} hourly samples, "
           f"{ds.n_sources} source(s)")
@@ -152,7 +139,7 @@ def _cmd_train(args, argv) -> int:
                  checkpoint_every=args.checkpoint_every)
     outputs = [os.path.join(out, "train_log.csv"),
                os.path.join(out, "params_final.lmtw")]
-    write_manifest(out, argv, _config_dict(cfg), args.seed, outputs,
+    write_manifest(out, argv, config_to_dict(cfg), args.seed, outputs,
                    time.time() - t0)
     print(f"trained {args.steps} steps ({args.stage}); "
           f"loss {hist[0]['loss']:.6f} -> {hist[-1]['loss']:.6f}")
@@ -189,23 +176,9 @@ def _cmd_forecast(args, argv) -> int:
                                lookahead=args.lookahead)
     try:
         with ad.no_grad():
-            if len(sources) == 1:
-                lat = encode(ds.input_state(idx, ds_index(sources[0])),
-                             params, cfg, source=sources[0])
-            else:
-                if "blend.logits" not in params:
-                    raise ConfigError(
-                        "multi-source forecast needs blend.logits in params")
-                lats = [encode(ds.input_state(idx, ds_index(s)), params, cfg,
-                               source=s) for s in sources]
-                logits = params["blend.logits"]
-                if logits.values.shape != (len(known),):
-                    raise ConfigError(
-                        f"blend.logits covers {logits.values.shape[0]} sources, "
-                        f"model has {len(known)}")
-                picked = [known.index(s) for s in sources]
-                w = np.exp(logits.values[picked])
-                lat = blend_latents(lats, w / w.sum())
+            lats = [encode(ds.input_state(idx, ds_index(s)), params, cfg,
+                           source=s) for s in sources]
+            lat = lats[0] if len(lats) == 1 else blend_sources(lats, params, sources)
             plan = greedy_plan(args.dt, cfg.max_dt)
             lat = rollout(lat, plan, params, cfg, engine=engine)
             dec = decode(lat, params, cfg)
@@ -218,7 +191,7 @@ def _cmd_forecast(args, argv) -> int:
     save_params_file(out, {"surface": dec.surface.values,
                            "atmos": dec.atmos.values,
                            "valid_time": np.float64(dec.valid_time)})
-    write_manifest(out, argv, _config_dict(cfg), None, [out], time.time() - t0)
+    write_manifest(out, argv, config_to_dict(cfg), None, [out], time.time() - t0)
     print(f"forecast +{args.dt} h from hour {init_hour} "
           f"({len(plan)} latent steps) -> {out}")
     return 0
@@ -415,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--source", action="append",
                    help="input source name; repeat to blend several")
     f.add_argument("--offload", action="store_true",
-                   help="run the latent chain through the offload engine")
+                   help="pass an offload engine as the rollout's segment store; "
+                        "a forecast records no tape, so the engine stores nothing")
     f.add_argument("--budget-bytes", type=int, default=1 << 28)
     f.add_argument("--lookahead", type=int, default=2)
 

@@ -130,12 +130,6 @@ def neighborhood(extents: tuple[int, int, int], window: tuple[int, int, int]) ->
     return table
 
 
-def neighborhood_2d(extents: tuple[int, int], window: tuple[int, int]) -> np.ndarray:
-    """Row/col-only variant: bumped rows, wrapped columns."""
-    table = neighborhood((1, extents[0], extents[1]), (1, window[0], window[1]))
-    return table
-
-
 # ---------------------------------------------------------------------------
 # static fields
 # ---------------------------------------------------------------------------

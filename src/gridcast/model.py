@@ -38,6 +38,7 @@ __all__ = [
     "process",
     "decode",
     "blend_latents",
+    "blend_sources",
     "encoder_prefix",
     "available_sources",
     "shape_plan",
@@ -425,7 +426,7 @@ def blend_latents(latents: list[LatentState], weights) -> LatentState:
     """Convex combination of same-time latent states.
 
     weights may be a Tensor (for learned blending) or an array; entries must
-    be nonnegative and sum to one within 1e-12.
+    be finite, nonnegative and sum to one within 1e-12.
     """
     if not latents:
         raise ConfigError("blend of zero latent states")
@@ -440,13 +441,31 @@ def blend_latents(latents: list[LatentState], weights) -> LatentState:
     wvals = weights.values if isinstance(weights, Tensor) else np.asarray(weights, float)
     if wvals.shape != (len(latents),):
         raise ConfigError(f"{len(latents)} states but weight shape {wvals.shape}")
-    if (wvals < 0).any() or abs(wvals.sum() - 1.0) > 1e-12:
-        raise ConfigError("blend weights must be nonnegative and sum to 1")
+    if not np.isfinite(wvals).all() or (wvals < 0).any() or abs(wvals.sum() - 1.0) > 1e-12:
+        raise ConfigError("blend weights must be finite, nonnegative and sum to 1")
     wt = weights if isinstance(weights, Tensor) else Tensor(wvals)
     out = latents[0].tokens * wt[0]
     for i in range(1, len(latents)):
         out = out + latents[i].tokens * wt[i]
     return LatentState(out, t0, ext)
+
+
+def blend_sources(latents: list[LatentState], params: dict, sources) -> LatentState:
+    """Blend the latents encoded from sources by the softmax of their logits.
+
+    params["blend.logits"] holds one logit per encoder of the model, in
+    available_sources order; latents[i] was encoded from sources[i].
+    Training blends every source, a forecast may blend a subset.
+    """
+    if "blend.logits" not in params:
+        raise ConfigError("blending sources needs blend.logits in params")
+    known = available_sources(params)
+    logits = params["blend.logits"]
+    if logits.shape != (len(known),):
+        raise ConfigError(f"blend.logits has shape {logits.shape}, "
+                          f"model has {len(known)} sources")
+    picked = np.array([known.index(s) for s in sources], dtype=np.int64)
+    return blend_latents(latents, ad.softmax(ad.take(logits, picked)))
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +577,8 @@ def config_from_dict(d: dict) -> ModelConfig:
         lat_step=d["lat_step"], lon_step=d["lon_step"],
         south_pole_omitted=d["south_pole_omitted"],
         planet_radius_km=d["planet_radius_km"])
-    kwargs = {k: v for k, v in d.items()
+    # JSON hands tuples back as lists
+    kwargs = {k: tuple(v) if _CONFIG_KEYS[k] is tuple else v for k, v in d.items()
               if k in _CONFIG_KEYS and k not in
               ("rows", "cols", "north_lat", "lat_step", "lon_step",
                "south_pole_omitted", "planet_radius_km")}

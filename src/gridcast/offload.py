@@ -1,5 +1,10 @@
 """Host-offloaded activation storage for long checkpointed rollouts.
 
+autodiff.checkpoint_segment is the one segment mechanism; it keeps each
+segment input in a store.  Its default store pins the input on the tape;
+OffloadEngine is the other store, and the one this module provides.  Under
+no_grad checkpoint_segment records no segment, so the engine stores nothing.
+
 Forward: each segment's input latent is copied out to a host store by a
 background transfer thread, and its device-side buffer is dropped once the
 segment has consumed it.  Backward: fetches are issued ahead of need by a
@@ -32,7 +37,6 @@ __all__ = [
     "StoreError",
     "TransferWorker",
     "PrefetchPipeline",
-    "prefetch_schedule",
     "OffloadEngine",
 ]
 
@@ -223,29 +227,6 @@ class TransferWorker:
         self._thread.join(timeout=10)
 
 
-def prefetch_schedule(n_segments: int, lookahead: int) -> list[list[int]]:
-    """Which slots are issued at each backward-begin, newest segment first.
-
-    Element j (for backward of segment n-1-j) lists slots issued at that
-    point.  Union over all elements is every slot exactly once; slot s is
-    issued no later than backward-begin of segment s, and lookahead segments
-    earlier when possible.
-    """
-    if lookahead < 1:
-        raise ConfigError(f"prefetch lookahead must be >= 1, got {lookahead}")
-    if n_segments < 0:
-        raise ConfigError("negative segment count")
-    out = []
-    next_to_issue = n_segments - 1
-    for k in range(n_segments - 1, -1, -1):
-        batch = []
-        while next_to_issue >= max(0, k - lookahead):
-            batch.append(next_to_issue)
-            next_to_issue -= 1
-        out.append(batch)
-    return out
-
-
 class PrefetchPipeline:
     """Issues store fetches ahead of backward progress.
 
@@ -285,11 +266,13 @@ class PrefetchPipeline:
 
 
 class OffloadEngine:
-    """Coordinates arena, store, worker, and prefetch for one rollout.
+    """Host-offload segment store for one rollout.
 
-    run_segments(fns, z0) applies the segment functions in order under
-    no-grad with every input offloaded to the host store, and records one
-    tape node per segment whose backward fetches, recomputes, and frees.
+    Pass it as checkpoint_segment's store (rollout's engine= argument does):
+    each segment input is copied out to the host store in forward and
+    fetched back ahead of need for the recompute in backward, with every
+    tensor metered by the arena.  run_segments(fns, z0) chains the segment
+    functions in order, each one a checkpoint segment kept in this store.
     """
 
     def __init__(self, budget_bytes: int = 1 << 30, lookahead: int = 2,
@@ -302,96 +285,64 @@ class OffloadEngine:
         self.worker = TransferWorker(self.store, latency_us)
         self.lookahead = lookahead
         self.pipeline: PrefetchPipeline | None = None
-        self.segments_run = 0
+        self.slots_written = 0
         self.backward_ran = False
 
-    # -- forward ------------------------------------------------------------
-
     def run_segments(self, fns, z0: ad.Tensor) -> ad.Tensor:
-        fns = list(fns)
-        n = len(fns)
-        self.pipeline = PrefetchPipeline(self.worker, n, self.lookahead)
-        if n == 0:
-            return z0
         z = z0
-        token_in = self.arena.admit(z.values.nbytes)
-        writes = []
-        for s, fn in enumerate(fns):
-            writes.append(self.worker.submit_put(s, z.values))
-            z_next, transient_tokens, token_out = self._metered_forward(fn, z)
-            # input leaves the device once its host copy is durable
-            TransferWorker.wait(writes[-1])
-            for tok in transient_tokens:
-                self.arena.release(tok)
-            self.arena.release(token_in)
-            if s > 0:
-                z.values = None  # interior latent owned by the engine
-            z = self._attach_node(fn, z, z_next, s)
-            token_in = token_out
-            self.segments_run += 1
-        self.arena.release(token_in)  # final output handed to the caller
+        for fn in fns:
+            z = ad.checkpoint_segment(fn, z, store=self)
         return z
 
-    def _metered_forward(self, fn, z: ad.Tensor):
-        """no-grad forward of one segment with arena metering of every tensor."""
-        admitted: list[tuple[ad.Tensor, int]] = []
-        # wrapper shares the input buffer already covered by the input token,
-        # so it is created outside the metered scope
-        detached = ad.Tensor(z.values, copy=False)
+    # -- segment store (the protocol is autodiff.checkpoint_segment's) --------
+
+    def keep(self, x: ad.Tensor, forward):
+        slot = self.slots_written
+        token = self.arena.admit(x.values.nbytes)
+        write = self.worker.submit_put(slot, x.values)
+        self.slots_written += 1
+        try:
+            y = self._metered(forward, x.values)
+            # the input leaves the device once its host copy is durable
+            TransferWorker.wait(write)
+        finally:
+            self.arena.release(token)
+        if slot > 0:
+            x.values = None  # interior latent owned by the engine
+        return (), slot, y
+
+    def restore(self, saved, slot: int, replay):
+        self.backward_ran = True
+        if self.pipeline is None:
+            self.pipeline = PrefetchPipeline(self.worker, self.slots_written,
+                                             self.lookahead)
+        self.pipeline.on_backward_begin(slot)
+        xv = self.pipeline.take(slot)
+        token = self.arena.admit(xv.nbytes)
+        try:
+            return self._metered(lambda: replay(xv), xv)
+        finally:
+            self.arena.release(token)
+
+    def _metered(self, run, covered: np.ndarray):
+        """run() with every tensor it creates admitted to the arena until it returns.
+
+        The segment input's wrapper shares the covered buffer, whose token
+        the caller already holds, so it is not admitted twice.
+        """
+        tokens = []
 
         def observer(t: ad.Tensor):
-            admitted.append((t, self.arena.admit(t.values.nbytes)))
+            if t.values is not covered:
+                tokens.append(self.arena.admit(t.values.nbytes))
 
         ad.set_alloc_observer(observer)
         try:
-            with ad.no_grad():
-                out = fn(detached)
+            return run()
         finally:
             ad.set_alloc_observer(None)
-        transient_tokens = []
-        token_out = None
-        for t, tok in admitted:
-            if t is out:
-                token_out = tok
-            else:
-                transient_tokens.append(tok)
-        if token_out is None:
-            # fn returned a pre-existing tensor (identity segment)
-            token_out = self.arena.admit(out.values.nbytes)
-        return out, transient_tokens, token_out
-
-    def _attach_node(self, fn, x: ad.Tensor, out: ad.Tensor, slot: int) -> ad.Tensor:
-        engine = self
-
-        def rule(g, saved, acc):
-            engine.backward_ran = True
-            engine.pipeline.on_backward_begin(slot)
-            xv = engine.pipeline.take(slot)
-            fetch_token = engine.arena.admit(xv.nbytes)
-            start_gen = ad.current_gen() + 1
-            admitted: list[tuple[ad.Tensor, int]] = []
-            x_re = ad.Tensor(xv, requires_grad=True, copy=False)  # covered by fetch_token
-
-            def observer(t: ad.Tensor):
-                admitted.append((t, engine.arena.admit(t.values.nbytes)))
-
-            ad.set_alloc_observer(observer)
-            try:
-                with ad.enable_grad():
-                    y_re = fn(x_re)
-                    sub = ad.nested_backward(y_re, g, min_gen=start_gen)
-            finally:
-                ad.set_alloc_observer(None)
-            for _, tok in admitted:
-                engine.arena.release(tok)
-            engine.arena.release(fetch_token)
-            gx = sub.pop(x_re, None)
-            if gx is not None:
-                acc(x, gx)
-            for p, gp in sub.items():
-                acc(p, gp)
-
-        return ad.record_segment("offload_segment", out.values, x, (), rule)
+            for tok in tokens:
+                self.arena.release(tok)
 
     # -- reporting ----------------------------------------------------------
 

@@ -7,8 +7,9 @@ steps; the only grid-space work is one encode at the start and one decode
 at the end.
 
 Each step is a checkpointed segment, so long rollouts keep a constant
-number of live intermediates; pass an OffloadEngine to spill segment inputs
-to host storage as well.
+number of live intermediates.  The segment inputs are pinned on the tape, or
+kept in host storage when an OffloadEngine is passed as the segment store.
+Under no_grad no segment is recorded and the engine stores nothing.
 """
 
 from __future__ import annotations
@@ -72,12 +73,9 @@ def rollout(lat: LatentState, plan, params: dict, cfg: ModelConfig,
             return process(LatentState(tokens, 0, ext), params, cfg, h).tokens
         return step
 
-    if engine is not None:
-        tokens = engine.run_segments([make_step(h) for h in plan], lat.tokens)
-    else:
-        tokens = lat.tokens
-        for h in plan:
-            tokens = ad.checkpoint_segment(make_step(h), tokens)
+    tokens = lat.tokens
+    for h in plan:
+        tokens = ad.checkpoint_segment(make_step(h), tokens, store=engine)
     return LatentState(tokens, lat.valid_time + plan_hours(plan), ext)
 
 

@@ -17,14 +17,12 @@ import os
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .errors import ConfigError, DataError
 from .model import (
-    LatentState,
     ModelConfig,
     available_sources,
-    blend_latents,
+    blend_sources,
     decode,
     encode,
     init_model_params,
@@ -200,12 +198,9 @@ def _initial_latent(params, cfg, ds, idx, stage):
     if ds.n_sources < len(sources):
         raise ConfigError(
             f"{len(sources)} encoders but dataset has {ds.n_sources} sources")
-    if "blend.logits" not in params:
-        raise ConfigError("operational stage needs blend.logits")
     lats = [encode(ds.input_state(idx, source=j), params, cfg, source=name)
             for j, name in enumerate(sources)]
-    weights = ad.softmax(params["blend.logits"])
-    return blend_latents(lats, weights)
+    return blend_sources(lats, params, sources)
 
 
 def train_step(params, cfg: ModelConfig, ds: WeatherDataset, dts, t0: int,
@@ -222,16 +217,13 @@ def train_step(params, cfg: ModelConfig, ds: WeatherDataset, dts, t0: int,
     idx0 = ds.index_at(t0)
     lat0 = _initial_latent(params, cfg, ds, idx0, stage)
 
-    six_chain = {0: lat0}
-
-    def latent_at(h: int) -> LatentState:
-        if h not in six_chain:
-            six_chain[h] = process(latent_at(h - 6), params, cfg, 6)
-        return six_chain[h]
-
+    six, six_h = lat0, 0  # latent at the latest six-hour multiple reached
     total = None
     for dt in dts:
-        z = latent_at((dt // 6) * 6)
+        while six_h < (dt // 6) * 6:
+            six = process(six, params, cfg, 6)
+            six_h += 6
+        z = six
         for _ in range(dt % 6):
             z = process(z, params, cfg, 1)
         dec = decode(z, params, cfg)

@@ -83,12 +83,9 @@ def check_offload_parity():
 
     def run(engine):
         z0 = Tensor(z0v, requires_grad=True)
-        if engine is None:
-            z = z0
-            for _ in range(3):
-                z = ad.checkpoint_segment(step, z)
-        else:
-            z = engine.run_segments([step] * 3, z0)
+        z = z0
+        for _ in range(3):
+            z = ad.checkpoint_segment(step, z, store=engine)
         loss = (z * z).mean()
         g = backward(loss, leaves=[z0])
         return loss.values.tobytes(), g[z0].tobytes()

@@ -6,10 +6,15 @@ import json
 import numpy as np
 import pytest
 
+from gridcast import autodiff as ad
 from gridcast.cli import main
-from gridcast.model import save_config, tiny_config
-from gridcast.serialization import load_params_file
+from gridcast.model import (blend_sources, config_from_dict, decode, encode,
+                            init_model_params, load_config, save_config,
+                            tiny_config)
+from gridcast.rollout import greedy_plan, rollout
+from gridcast.serialization import load_params_file, save_params_file
 from gridcast.synthdata import load_dataset_file
+from gridcast.training import add_source_encoders
 
 WAVELEN = "12000"  # resolvable on the 24-column test grid
 
@@ -156,6 +161,57 @@ class TestForecastEvaluate:
                    "--out", str(tmp_path / "x.lmtw")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: config: ")
+
+
+def two_source_params(tmp_path, logits):
+    params = init_model_params(tiny_config(), seed=4)
+    add_source_encoders(params, tiny_config(), ["op1"], seed=4)
+    path = str(tmp_path / "two.lmtw")
+    blobs = {k: v.values for k, v in params.items()}
+    blobs["blend.logits"] = np.array(logits, dtype=np.float64)
+    save_params_file(path, blobs)
+    return path
+
+
+class TestBlendedForecast:
+    def argv(self, spec_file, params, data_file, out):
+        return ["forecast", "--config", spec_file, "--params", params,
+                "--init", data_file, "--init-hour", "0", "--dt", "7",
+                "--source", "primary", "--source", "op1", "--out", out]
+
+    def test_large_logits_stay_finite(self, tmp_path, spec_file, data_file):
+        params = two_source_params(tmp_path, [1000.0, 999.0])
+        out = str(tmp_path / "fc.lmtw")
+        assert main(self.argv(spec_file, params, data_file, out)) == 0
+        blobs = load_params_file(out)
+        assert np.isfinite(blobs["surface"]).all()
+        assert np.isfinite(blobs["atmos"]).all()
+
+    def test_matches_model_blend_bitwise(self, tmp_path, spec_file, data_file):
+        path = two_source_params(tmp_path, [0.3, -0.2])
+        out = str(tmp_path / "fc.lmtw")
+        assert main(self.argv(spec_file, path, data_file, out)) == 0
+        cfg = load_config(spec_file)
+        params = {k: ad.Tensor(v) for k, v in load_params_file(path).items()}
+        ds = load_dataset_file(data_file)
+        sources = ["primary", "op1"]
+        with ad.no_grad():
+            lats = [encode(ds.input_state(ds.index_at(0), j), params, cfg,
+                           source=s) for j, s in enumerate(sources)]
+            lat = rollout(blend_sources(lats, params, sources), greedy_plan(7),
+                          params, cfg)
+            dec = decode(lat, params, cfg)
+        blobs = load_params_file(out)
+        assert blobs["surface"].tobytes() == dec.surface.values.tobytes()
+        assert blobs["atmos"].tobytes() == dec.atmos.values.tobytes()
+
+    def test_manifest_config_rebuilds_config(self, tmp_path, spec_file,
+                                             data_file):
+        params = two_source_params(tmp_path, [0.0, 0.0])
+        out = str(tmp_path / "fc.lmtw")
+        assert main(self.argv(spec_file, params, data_file, out)) == 0
+        man = json.loads((tmp_path / "fc.lmtw.manifest.json").read_text())
+        assert config_from_dict(man["config"]) == load_config(spec_file)
 
 
 class TestBenchOffload:

@@ -207,6 +207,11 @@ class TestBlend:
         with pytest.raises(ConfigError):
             blend_latents(lats, np.array([-0.1, 1.1]))
 
+    def test_blend_rejects_non_finite_weights(self, tiny):
+        lats = self._latents(tiny)
+        with pytest.raises(ConfigError):
+            blend_latents(lats, np.array([np.nan, np.nan]))
+
     def test_blend_rejects_mismatched_times(self, tiny):
         lats = self._latents(tiny, times=(0, 6))
         with pytest.raises(ConfigError):

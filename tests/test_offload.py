@@ -1,5 +1,7 @@
 """Offload engine: accounting, ordering, prefetch, bitwise gradient parity."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from gridcast.offload import (
     PrefetchPipeline,
     StoreError,
     TransferWorker,
-    prefetch_schedule,
 )
 
 RNG = np.random.default_rng(5150)
@@ -130,24 +131,50 @@ class TestWorker:
         w.shutdown()
 
 
+class _RecordingWorker:
+    """Stands in for TransferWorker: records every fetch, completes it at once."""
+
+    def __init__(self):
+        self.issued = []
+
+    def submit_get(self, slot):
+        self.issued.append(slot)
+        done = threading.Event()
+        done.result = np.full(1, float(slot))
+        done.error = None
+        done.set()
+        return done
+
+
+def _issue_batches(n_segments, lookahead):
+    """Slots a driven PrefetchPipeline issues at each backward-begin, newest first."""
+    worker = _RecordingWorker()
+    pipe = PrefetchPipeline(worker, n_segments, lookahead)
+    batches = []
+    for k in range(n_segments - 1, -1, -1):
+        before = len(worker.issued)
+        pipe.on_backward_begin(k)
+        batches.append(worker.issued[before:])
+        pipe.take(k)
+    return batches
+
+
 class TestPrefetchSchedule:
     def test_lookahead_zero_rejected(self):
-        with pytest.raises(ConfigError):
-            prefetch_schedule(4, 0)
         with pytest.raises(ConfigError):
             PrefetchPipeline(TransferWorker(HostStore()), 4, lookahead=0)
 
     def test_every_slot_issued_once(self):
         for n in (1, 2, 5, 9):
             for la in (1, 2, 3, 8):
-                sched = prefetch_schedule(n, la)
+                sched = _issue_batches(n, la)
                 flat = [s for batch in sched for s in batch]
                 assert sorted(flat) == list(range(n))
 
     def test_slot_issued_by_its_own_backward(self):
         # slot s must appear no later than the batch for backward of segment s
         n, la = 6, 2
-        sched = prefetch_schedule(n, la)
+        sched = _issue_batches(n, la)
         issued = set()
         for j, batch in enumerate(sched):
             k = n - 1 - j  # segment whose backward begins here
@@ -155,7 +182,7 @@ class TestPrefetchSchedule:
             assert k in issued
 
     def test_lookahead_depth(self):
-        sched = prefetch_schedule(8, 2)
+        sched = _issue_batches(8, 2)
         # first batch covers newest segment plus lookahead
         assert sched[0] == [7, 6, 5]
         assert all(len(b) <= 1 for b in sched[1:])
@@ -272,3 +299,28 @@ class TestEngine:
         assert z.shape == (2, 4)
         assert not eng.backward_ran
         eng.close()
+
+    def test_interior_inputs_leave_the_device(self):
+        eng = OffloadEngine(budget_bytes=1 << 22)
+        p = Tensor(RNG.standard_normal((4, 4)), requires_grad=True)
+        z0 = Tensor(RNG.standard_normal((2, 4)), requires_grad=True)
+        z = eng.run_segments(_chain_fns([p], 3), z0)
+        z2 = z.node.parents[0]
+        z1 = z2.node.parents[0]
+        assert z1.values is None and z2.values is None
+        assert z0.values is not None  # the caller's input stays
+        eng.close()
+
+    def test_no_grad_segment_touches_no_store(self):
+        eng = OffloadEngine(budget_bytes=1 << 22)
+        p = Tensor(RNG.standard_normal((4, 4)), requires_grad=True)
+        z0 = Tensor(RNG.standard_normal((2, 4)), requires_grad=True)
+        ad.reset_tape_stats()
+        with ad.no_grad():
+            z = checkpoint_segment(_chain_fns([p], 1)[0], z0, store=eng)
+        eng.close()
+        assert z.node is None
+        assert ad.tape_stats().nodes_created == 0
+        assert eng.store.bytes_written == 0
+        assert eng.worker.transfers == 0
+        assert eng.high_water == 0

@@ -1,6 +1,7 @@
 """Curriculum schedule, optimizer, stage freezing, shared-prefix steps."""
 
 import csv
+import gc
 import math
 
 import numpy as np
@@ -192,6 +193,21 @@ class TestTrainStep:
         assert gm.CALL_COUNTS["process6"] == 1
         assert gm.CALL_COUNTS["process1"] == 2
         assert gm.CALL_COUNTS["decode"] == 2
+
+    def test_step_leaves_no_reference_cycles(self, tiny):
+        # a cycle would hold the step's whole graph until the cyclic GC ran
+        cfg, ds = tiny
+        params = init_model_params(cfg, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            loss = train_step(params, cfg, ds, (0, 7, 12), 0, ds.plane_sigmas())
+            backward(loss, leaves=list(params.values()))
+            del loss
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert freed == 0
 
     def test_empty_dts_rejected(self, tiny):
         cfg, ds = tiny

@@ -516,8 +516,9 @@ def getitem(x: Tensor, key) -> Tensor:
 def take(x: Tensor, idx: np.ndarray) -> Tensor:
     """Gather rows of x along axis 0 by an integer index array.
 
-    Output shape is idx.shape + x.shape[1:]; scatter-add backward via
-    np.add.at preserves determinism (element order is fixed by idx).
+    Output shape is idx.shape + x.shape[1:]; the backward scatter-adds each
+    gradient row into row idx[i] with _scatter_add, in the order of idx, so
+    repeated indices sum deterministically.
     """
     x._check_alive("take")
     idx = np.asarray(idx, dtype=np.int64)
@@ -526,9 +527,9 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
     out = x.values[idx]
 
     def rule(g, saved, acc):
-        gx = np.zeros_like(x.values)
-        np.add.at(gx, idx, g)
-        acc(x, gx)
+        row = math.prod(x.shape[1:])
+        cells = idx[..., None] * row + np.arange(row)
+        acc(x, _scatter_add(cells, g, x.size).reshape(x.shape))
 
     return _record("take", out, (x,), (), rule)
 
@@ -605,29 +606,33 @@ def _axis_plan(extent: int, kernel: int, stride: int, pad_pair: tuple[int, int],
 
 
 def _conv_plan(extents, kernel, stride, pads, wrap):
+    """Cached im2col plan: (out extents, flat tap index (P, K), tap mask (P, K)).
+
+    flat[p, k] is the raveled spatial cell that tap k of output cell p reads;
+    P and K enumerate (out...) and (k...) in C order.  Out-of-range taps are
+    clipped to a valid cell and zeroed by the float mask.
+    """
     key = (tuple(extents), tuple(kernel), tuple(stride), tuple(pads), tuple(wrap))
     hit = _PLAN_CACHE.get(key)
     if hit is not None:
         return hit
     n = len(extents)
-    outs, idxs, valids = [], [], []
+    outs, grids, masks = [], [], []
     for i in range(n):
         o, ix, va = _axis_plan(extents[i], kernel[i], stride[i], pads[i], wrap[i])
-        outs.append(o)
-        idxs.append(ix)
-        valids.append(va)
-    # broadcastable index grids over (out..., k...)
-    grids, masks = [], []
-    for i in range(n):
+        # broadcastable over (out..., k...)
         shape = [1] * (2 * n)
-        shape[i] = outs[i]
+        shape[i] = o
         shape[n + i] = kernel[i]
-        grids.append(idxs[i].reshape(shape))
-        masks.append(valids[i].reshape(shape))
+        outs.append(o)
+        grids.append(ix.reshape(shape))
+        masks.append(va.reshape(shape))
     mask = masks[0]
     for m in masks[1:]:
         mask = mask & m
-    plan = (tuple(outs), tuple(grids), np.ascontiguousarray(mask, dtype=np.float64))
+    p, k = math.prod(outs), math.prod(kernel)
+    flat = np.ravel_multi_index(tuple(np.broadcast_arrays(*grids)), tuple(extents))
+    plan = (tuple(outs), flat.reshape(p, k), mask.reshape(p, k).astype(np.float64))
     _PLAN_CACHE[key] = plan
     return plan
 
@@ -648,30 +653,39 @@ def _norm_conv_args(x_shape, w_shape, stride, pads, wrap, op):
     return n, stride, pads, wrap
 
 
+def _scatter_add(cells: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    """out[cells[i]] += vals[i] over a zeroed float vector of length size.
+
+    Every cell starts from +0.0 and adds its values one at a time in the C
+    order of cells, as numpy's unbuffered ufunc.at scatter does, so the sums
+    are bitwise equal to that scatter's.
+    """
+    out = np.bincount(cells.ravel(), weights=vals.ravel(), minlength=size)
+    return out.astype(np.float64, copy=False)  # bincount of no cells is int
+
+
 def _gather_cols(xv: np.ndarray, plan):
     """im2col: (C, *S) -> (P, C*K) masked patch matrix."""
-    outs, grids, mask = plan
-    n = len(outs)
-    patches = xv[(slice(None),) + tuple(grids)]  # (C, out..., k...)
-    patches = patches * mask  # zero out-of-range taps
-    perm = tuple(range(1, n + 1)) + (0,) + tuple(range(n + 1, 2 * n + 1))
-    cols = patches.transpose(perm)  # (out..., C, k...)
-    p = int(np.prod(outs))
-    return np.ascontiguousarray(cols.reshape(p, -1))
+    _, flat, mask = plan
+    (p, k), c = flat.shape, xv.shape[0]
+    patches = np.take(xv.reshape(c, -1), flat, axis=1)  # (C, P, K)
+    cols = np.empty((p, c, k))
+    np.multiply(patches.transpose(1, 0, 2), mask[:, None, :], out=cols)  # zero out-of-range taps
+    return cols.reshape(p, c * k)
 
 
 def _scatter_cols(gcols: np.ndarray, c_in: int, extents, plan):
-    """col2im: (P, C*K) -> (C, *S) scatter-add, adjoint of _gather_cols."""
-    outs, grids, mask = plan
-    n = len(outs)
-    kdims = tuple(g.shape[n + i] for i, g in enumerate(grids))
-    vals = gcols.reshape(tuple(outs) + (c_in,) + kdims)
-    perm = (n,) + tuple(range(n)) + tuple(range(n + 1, 2 * n + 1))
-    vals = vals.transpose(perm) * mask  # (C, out..., k...)
-    gx = np.zeros((c_in,) + tuple(extents), dtype=np.float64)
-    ch = np.arange(c_in).reshape((c_in,) + (1,) * (2 * n))
-    np.add.at(gx, (ch,) + tuple(grids), vals)
-    return gx
+    """col2im: (P, C*K) -> (C, *S) scatter-add, adjoint of _gather_cols.
+
+    Cell (c, s) only receives from channel c, so summing in (P, C, K) order
+    adds its contributions in the same (P, K) order as a (C, P, K) walk.
+    """
+    _, flat, mask = plan
+    p, k = flat.shape
+    s = math.prod(extents)
+    vals = gcols.reshape(p, c_in, k) * mask[:, None, :]
+    cells = flat[:, None, :] + (np.arange(c_in) * s)[:, None]
+    return _scatter_add(cells, vals, c_in * s).reshape((c_in,) + tuple(extents))
 
 
 def conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads=None, wrap=None) -> Tensor:
@@ -707,8 +721,8 @@ def conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads=None, wra
         acc(w, (gmat.T @ cols_r).reshape(w.shape))
         if b is not None:
             acc(b, gmat.sum(axis=0))
-        gcols = gmat @ wmat
-        acc(x, _scatter_cols(gcols, c_in, x.shape[1:], plan))
+        if x.requires_grad:  # the stem conv's input is data
+            acc(x, _scatter_cols(gmat @ wmat, c_in, x.shape[1:], plan))
 
     return _record("conv", out, parents, (x.values,), rule)
 

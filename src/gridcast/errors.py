@@ -7,3 +7,7 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """A data file or payload is malformed."""
+
+
+class NumericsError(ArithmeticError):
+    """A loss, gradient or parameter became NaN or infinite."""

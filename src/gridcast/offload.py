@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import os
 import queue
+import shutil
+import tempfile
 import threading
 import time
 
@@ -97,11 +99,14 @@ class HostStore:
     consumed in strictly decreasing order during backward, mirroring how a
     reversed tape walks its segments.  Backend 'ram' keeps byte copies in
     memory; 'mmap' stages them through a file and reads them back via
-    memory mapping.
+    memory mapping.  The file lives in a private temporary directory (made
+    inside workdir when given, else in the system temp location) that
+    close() removes.
     """
 
     def __init__(self, backend: str = "ram", workdir: str | None = None):
         self._file = None
+        self._dir = None
         self._path = None
         if backend not in ("ram", "mmap"):
             raise ConfigError(f"unknown host store backend {backend!r}")
@@ -110,8 +115,8 @@ class HostStore:
         self._written: set[int] = set()
         self._consumed_floor: int | None = None
         if backend == "mmap":
-            workdir = workdir or "."
-            self._path = os.path.join(workdir, f".offload-{os.getpid()}-{id(self):x}.bin")
+            self._dir = tempfile.mkdtemp(prefix="gridcast-offload-", dir=workdir)
+            self._path = os.path.join(self._dir, "slots.bin")
             self._file = open(self._path, "w+b")
         self.bytes_written = 0
         self.bytes_read = 0
@@ -156,10 +161,7 @@ class HostStore:
         if self._file is not None:
             self._file.close()
             self._file = None
-            try:
-                os.unlink(self._path)
-            except OSError:
-                pass
+            shutil.rmtree(self._dir, ignore_errors=True)
 
     def __del__(self):
         self.close()

@@ -14,11 +14,12 @@ from __future__ import annotations
 import csv
 import math
 import os
+import time
 
 import numpy as np
 
 from .autodiff import Tensor, backward
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericsError
 from .model import (
     ModelConfig,
     available_sources,
@@ -240,13 +241,14 @@ def train_step(params, cfg: ModelConfig, ds: WeatherDataset, dts, t0: int,
 def clip_gradients(grads: dict, clip_norm: float) -> float:
     """Scale all gradients so their global norm is at most clip_norm.
 
-    Returns the pre-clip norm. Mutates the gradient arrays in place.
+    Returns the pre-clip norm. Mutates the gradient arrays in place. A
+    clip_norm of 0, or a non-finite norm, leaves them as they are.
     """
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
     norm = math.sqrt(total)
-    if norm > clip_norm > 0.0:
+    if math.isfinite(norm) and norm > clip_norm > 0.0:
         scale = clip_norm / norm
         for g in grads.values():
             g *= scale
@@ -259,10 +261,12 @@ def train(params: dict, cfg: ModelConfig, ds: WeatherDataset, stage: str,
           clip_norm: float = 1.0):
     """Run one stage for a fixed number of steps; returns the step history.
 
-    All randomness flows from the single seed. With out_dir set, writes a
-    per-step CSV (step, lr, loss, dts) plus parameter checkpoints.
-    clip_norm bounds the global gradient norm before each update; pass 0 to
-    disable clipping.
+    All randomness flows from the single seed. Each history row holds the
+    step, lr, loss, lead times, pre-clip gradient norm and step wall time;
+    with out_dir set, they are also written to train_log.csv next to the
+    parameter checkpoints. clip_norm bounds the global gradient norm before
+    each update; pass 0 to disable clipping. A non-finite loss or gradient
+    raises NumericsError before the update.
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {STAGES}")
@@ -289,13 +293,23 @@ def train(params: dict, cfg: ModelConfig, ds: WeatherDataset, stage: str,
             dts = sample_dts(rng, admissible_dts(i, stage), n_draw)
         hi = int(ds.times[-1]) - max(dts)
         t0 = int(ds.times[0]) + int(rng.integers(0, hi - int(ds.times[0]) + 1))
+        start = time.perf_counter()
         loss = train_step(params, cfg, ds, dts, t0, sigmas, stage)
+        loss_v = float(loss.values)
+        if not math.isfinite(loss_v):
+            raise NumericsError(f"step {i}: loss is {loss_v}")
         grads = backward(loss, leaves=[params[n] for n in opt.trainable])
-        if clip_norm:
-            clip_gradients(grads, clip_norm)
+        grad_norm = clip_gradients(grads, clip_norm)
+        if not math.isfinite(grad_norm):
+            bad = next((n for n in opt.trainable
+                        if not np.isfinite(grads[params[n]]).all()), None)
+            raise NumericsError(
+                f"step {i}: gradient norm is {grad_norm}"
+                + (f"; first non-finite gradient is {bad!r}" if bad else ""))
         opt.step(grads, lr)
-        history.append({"step": i, "lr": lr, "loss": float(loss.values),
-                        "dts": dts})
+        history.append({"step": i, "lr": lr, "loss": loss_v, "dts": dts,
+                        "grad_norm": grad_norm,
+                        "step_s": time.perf_counter() - start})
         if out_dir is not None and checkpoint_every and (i + 1) % checkpoint_every == 0:
             save_params_file(os.path.join(out_dir, f"params_step_{i + 1:06d}.lmtw"),
                              {k: v.values for k, v in params.items()})
@@ -303,11 +317,12 @@ def train(params: dict, cfg: ModelConfig, ds: WeatherDataset, stage: str,
     if out_dir is not None:
         with open(os.path.join(out_dir, "train_log.csv"), "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["step", "lr", "loss", "dts"])
+            w.writerow(["step", "lr", "loss", "dts", "grad_norm", "step_s"])
             for row in history:
                 w.writerow([row["step"], f"{row['lr']:.12e}",
                             f"{row['loss']:.12e}",
-                            ";".join(str(d) for d in row["dts"])])
+                            ";".join(str(d) for d in row["dts"]),
+                            f"{row['grad_norm']:.12e}", f"{row['step_s']:.6f}"])
         save_params_file(os.path.join(out_dir, "params_final.lmtw"),
                          {k: v.values for k, v in params.items()})
     return history

@@ -94,16 +94,18 @@ def check_offload_parity():
     waters = []
     for count in (1, 4):
         eng = OffloadEngine(budget_bytes=1 << 26, lookahead=2)
-        if count == 4:
-            z0 = Tensor(z0v, requires_grad=True)
-            z = eng.run_segments([step] * count, z0)
-            backward((z * z).mean(), leaves=[z0])
-        else:
-            got = run(eng)
-            assert got == plain, "offloaded gradients differ from plain"
-        assert eng.demand_stalls == 0, f"{eng.demand_stalls} demand stalls"
-        waters.append(eng.high_water)
-        eng.close()
+        try:
+            if count == 4:
+                z0 = Tensor(z0v, requires_grad=True)
+                z = eng.run_segments([step] * count, z0)
+                backward((z * z).mean(), leaves=[z0])
+            else:
+                got = run(eng)
+                assert got == plain, "offloaded gradients differ from plain"
+            assert eng.demand_stalls == 0, f"{eng.demand_stalls} demand stalls"
+            waters.append(eng.high_water)
+        finally:
+            eng.close()
     assert waters[0] == waters[1], f"high water drifts: {waters}"
 
 

@@ -492,3 +492,114 @@ def test_circular_pad_backward_is_adjoint(extent, before, after):
     for i in range(extent + before + after):
         mat[i, (i - before) % extent] = 1.0
     np.testing.assert_allclose(grads[x], mat.T @ seed, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# scatter and gather against an np.add.at reference
+# ---------------------------------------------------------------------------
+
+def _ref_taps(key):
+    """Broadcastable per-axis tap grids and float mask over (out..., k...)."""
+    extents, kernel, stride, pads, wrap = key
+    n = len(extents)
+    outs, grids, mask = [], [], True
+    for i in range(n):
+        o, ix, va = ad._axis_plan(extents[i], kernel[i], stride[i], pads[i], wrap[i])
+        shape = [1] * (2 * n)
+        shape[i], shape[n + i] = o, kernel[i]
+        outs.append(o)
+        grids.append(ix.reshape(shape))
+        mask = mask & va.reshape(shape)
+    return outs, grids, mask.astype(np.float64)
+
+
+def _ref_gather(xv, key):
+    outs, grids, mask = _ref_taps(key)
+    n = len(outs)
+    patches = xv[(slice(None),) + tuple(grids)] * mask  # (C, out..., k...)
+    perm = tuple(range(1, n + 1)) + (0,) + tuple(range(n + 1, 2 * n + 1))
+    return np.ascontiguousarray(patches.transpose(perm).reshape(math.prod(outs), -1))
+
+
+def _ref_scatter(gcols, c_in, key):
+    outs, grids, mask = _ref_taps(key)
+    n = len(outs)
+    kdims = tuple(g.shape[n + i] for i, g in enumerate(grids))
+    vals = gcols.reshape(tuple(outs) + (c_in,) + kdims)
+    perm = (n,) + tuple(range(n)) + tuple(range(n + 1, 2 * n + 1))
+    vals = vals.transpose(perm) * mask  # (C, out..., k...)
+    gx = np.zeros((c_in,) + tuple(key[0]))
+    ch = np.arange(c_in).reshape((c_in,) + (1,) * (2 * n))
+    np.add.at(gx, (ch,) + tuple(grids), vals)
+    return gx
+
+
+def _assert_im2col_matches_reference(key, c_in, rng):
+    plan = ad._conv_plan(*key)
+    xv = rng.standard_normal((c_in,) + tuple(key[0]))
+    cols = ad._gather_cols(xv, plan)
+    ref = _ref_gather(xv, key)
+    assert cols.shape == ref.shape and cols.tobytes() == ref.tobytes(), key
+    gcols = rng.standard_normal(ref.shape)
+    gx = ad._scatter_cols(gcols, c_in, key[0], plan)
+    ref = _ref_scatter(gcols, c_in, key)
+    assert gx.shape == ref.shape and gx.tobytes() == ref.tobytes(), key
+
+
+def test_im2col_bitwise_on_every_desk_plan():
+    from gridcast.model import desk_config, init_model_params
+    from gridcast.synthdata import generate_dataset
+    from gridcast.training import train_step
+
+    cfg = desk_config()
+    ds = generate_dataset(cfg.grid, cfg.surface_in, cfg.surface_out, cfg.atmos_vars,
+                          cfg.levels, hours=7, seed=1)
+    params = init_model_params(cfg, seed=1, zero_residual=False)
+    backward(train_step(params, cfg, ds, (0, 6), 0, ds.plane_sigmas()))
+    keys = list(ad._PLAN_CACHE)
+    assert any(key[0][-2:] == (cfg.grid.rows, cfg.grid.cols) for key in keys)
+    rng = np.random.default_rng(11)
+    for key in keys:
+        _assert_im2col_matches_reference(key, 3, rng)
+
+
+@st.composite
+def _geometries(draw):
+    n = draw(st.sampled_from((2, 3)))
+    extents, kernel, stride, pads, wrap = [], [], [], [], []
+    for _ in range(n):
+        s = draw(st.sampled_from((1, 2)))
+        w = draw(st.booleans())
+        e = draw(st.integers(1, 5)) * s if w else draw(st.integers(1, 9))
+        p = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        k = draw(st.integers(1, 4))
+        assume(w or e + p[0] + p[1] >= k)
+        extents.append(e)
+        kernel.append(k)
+        stride.append(s)
+        pads.append(p)
+        wrap.append(w)
+    return tuple(extents), tuple(kernel), tuple(stride), tuple(pads), tuple(wrap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_geometries(), st.integers(1, 3), st.integers(0, 2 ** 31))
+def test_im2col_bitwise_on_random_geometries(key, c_in, seed):
+    _assert_im2col_matches_reference(key, c_in, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("idx", [np.random.default_rng(3).integers(0, 5, (6, 7)),
+                                 np.zeros((0, 2), dtype=np.int64)],
+                         ids=["repeated", "empty"])
+def test_take_backward_bitwise_vs_add_at(idx):
+    # about eight rows land on each of the five; their magnitudes span 16
+    # decades, so any other summation order rounds differently
+    rng = np.random.default_rng(4)
+    x = t(rng.standard_normal((5, 2, 3)))
+    shape = idx.shape + (2, 3)
+    seed = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    grads = backward(ad.take(x, idx), seed=seed, leaves=[x])
+    ref = np.zeros_like(x.values)
+    np.add.at(ref, idx, seed)
+    assert grads[x].dtype == np.float64 and grads[x].shape == ref.shape
+    assert grads[x].tobytes() == ref.tobytes()

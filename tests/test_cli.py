@@ -84,7 +84,7 @@ class TestTrain:
         out = train_small(tmp_path, spec_file, data_file)
         with open(out + "/train_log.csv") as f:
             rows = list(csv.reader(f))
-        assert rows[0] == ["step", "lr", "loss", "dts"]
+        assert rows[0] == ["step", "lr", "loss", "dts", "grad_norm", "step_s"]
         assert len(rows) == 4
         params = load_params_file(out + "/params_final.lmtw")
         assert any(k.startswith("enc.") for k in params)

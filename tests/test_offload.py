@@ -1,5 +1,7 @@
 """Offload engine: accounting, ordering, prefetch, bitwise gradient parity."""
 
+import os
+import tempfile
 import threading
 
 import numpy as np
@@ -97,6 +99,27 @@ class TestHostStore:
     def test_unknown_backend(self):
         with pytest.raises(ConfigError):
             HostStore("tape")
+
+    def test_mmap_without_workdir_uses_private_temp_dir(self, private_dirs):
+        cwd, tmp = private_dirs
+        store = HostStore("mmap")
+        store.put(0, np.ones(3))
+        assert os.listdir(cwd) == []
+        assert len(os.listdir(tmp)) == 1
+        assert store.get(0).tolist() == [1.0, 1.0, 1.0]
+        store.close()
+        assert os.listdir(tmp) == []
+
+
+@pytest.fixture
+def private_dirs(tmp_path, monkeypatch):
+    """Run in an empty cwd with an empty, separate system temp directory."""
+    cwd, tmp = tmp_path / "cwd", tmp_path / "tmp"
+    cwd.mkdir()
+    tmp.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    return cwd, tmp
 
 
 class TestWorker:
@@ -310,6 +333,27 @@ class TestEngine:
         assert z1.values is None and z2.values is None
         assert z0.values is not None  # the caller's input stays
         eng.close()
+
+    def test_mmap_temp_dir_removed_after_failed_backward(self, private_dirs):
+        cwd, tmp = private_dirs
+        p = Tensor(RNG.standard_normal((4, 4)), requires_grad=True)
+        recompute = []
+
+        def seg(z):
+            if recompute:
+                raise FloatingPointError("recompute failed")
+            return ad.matmul(z, p)
+
+        eng = OffloadEngine(budget_bytes=1 << 22, backend="mmap")
+        try:
+            z = eng.run_segments([seg, seg], Tensor(RNG.standard_normal((2, 4))))
+            assert os.listdir(cwd) == [] and len(os.listdir(tmp)) == 1
+            recompute.append(True)
+            with pytest.raises(FloatingPointError):
+                backward((z * z).mean(), leaves=[p])
+        finally:
+            eng.close()
+        assert os.listdir(cwd) == [] and os.listdir(tmp) == []
 
     def test_no_grad_segment_touches_no_store(self):
         eng = OffloadEngine(budget_bytes=1 << 22)

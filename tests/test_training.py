@@ -1,6 +1,7 @@
 """Curriculum schedule, optimizer, stage freezing, shared-prefix steps."""
 
 import csv
+import dataclasses
 import gc
 import math
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import gridcast.model as gm
+import gridcast.training as training
 from gridcast.autodiff import Tensor, backward
-from gridcast.errors import ConfigError, DataError
+from gridcast.errors import ConfigError, DataError, NumericsError
 from gridcast.model import DecodedFields, init_model_params, tiny_config
 from gridcast.serialization import load_params_file
 from gridcast.synthdata import generate_dataset
@@ -302,14 +304,47 @@ class TestTrainDriver:
                      lr_max=1e-3, out_dir=tmp_path, checkpoint_every=2)
         with open(tmp_path / "train_log.csv") as f:
             rows = list(csv.reader(f))
-        assert rows[0] == ["step", "lr", "loss", "dts"]
+        assert rows[0] == ["step", "lr", "loss", "dts", "grad_norm", "step_s"]
         assert len(rows) == 5
         assert float(rows[1][2]) == pytest.approx(hist[0]["loss"])
         assert all(part.isdigit() for part in rows[1][3].split(";"))
+        for row, h in zip(rows[1:], hist):
+            assert math.isfinite(h["grad_norm"]) and h["grad_norm"] > 0.0
+            assert float(row[4]) == pytest.approx(h["grad_norm"])
+            assert float(row[5]) > 0.0
         final = load_params_file(tmp_path / "params_final.lmtw")
         assert final.keys() == params.keys()
         assert (tmp_path / "params_step_000002.lmtw").exists()
         assert (tmp_path / "params_step_000004.lmtw").exists()
+
+    def test_nan_truth_raises_numerics_error_at_step_0(self, tiny):
+        cfg, ds = tiny
+        truth = ds.truth.copy()
+        truth[3, 1, 2, 2] = np.nan
+        bad = dataclasses.replace(ds, truth=truth)
+        params = init_model_params(cfg, seed=0)
+        before = {k: v.values.copy() for k, v in params.items()}
+        with pytest.raises(NumericsError, match="step 0: loss is nan"):
+            train(params, cfg, bad, "pretrain", steps=2, seed=0)
+        assert all(params[k].values.tobytes() == v.tobytes() for k, v in before.items())
+
+    def test_non_finite_gradient_names_the_parameter(self, tiny, monkeypatch):
+        cfg, ds = tiny
+        params = init_model_params(cfg, seed=0)
+        name = trainable_names(params, "pretrain")[3]
+        real_backward = training.backward
+
+        def poisoned(loss, leaves):
+            grads = real_backward(loss, leaves=leaves)
+            grads[params[name]].flat[0] = np.inf
+            return grads
+
+        monkeypatch.setattr(training, "backward", poisoned)
+        before = params[name].values.copy()
+        with pytest.raises(NumericsError, match="step 0: ") as exc:
+            train(params, cfg, ds, "pretrain", steps=1, seed=0)
+        assert repr(name) in str(exc.value)
+        assert params[name].values.tobytes() == before.tobytes()
 
     def test_bad_stage_and_steps(self, tiny):
         cfg, ds = tiny

@@ -17,9 +17,10 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -517,8 +518,10 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
     """Gather rows of x along axis 0 by an integer index array.
 
     Output shape is idx.shape + x.shape[1:]; the backward scatter-adds each
-    gradient row into row idx[i] with _scatter_add, in the order of idx, so
-    repeated indices sum deterministically.
+    gradient row into row idx[i] with one np.bincount over flat cell numbers.
+    That adds each cell's values one at a time from +0.0 in the C order of
+    idx, as numpy's unbuffered np.add.at does, so repeated indices sum
+    deterministically and bitwise equal to that scatter.
     """
     x._check_alive("take")
     idx = np.asarray(idx, dtype=np.int64)
@@ -529,7 +532,8 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
     def rule(g, saved, acc):
         row = math.prod(x.shape[1:])
         cells = idx[..., None] * row + np.arange(row)
-        acc(x, _scatter_add(cells, g, x.size).reshape(x.shape))
+        gx = np.bincount(cells.ravel(), weights=g.ravel(), minlength=x.size)
+        acc(x, gx.astype(np.float64, copy=False).reshape(x.shape))  # int when idx is empty
 
     return _record("take", out, (x,), (), rule)
 
@@ -577,62 +581,118 @@ def pad(x: Tensor, pads: Sequence[tuple[int, int]], mode: str = "zero") -> Tenso
 
 
 # ---------------------------------------------------------------------------
-# convolution: shared gather/scatter index plans
+# convolution: cached slab plans for im2col and col2im
 # ---------------------------------------------------------------------------
 
 _PLAN_CACHE: dict = {}
 
 
-def _axis_plan(extent: int, kernel: int, stride: int, pad_pair: tuple[int, int], wrap: bool):
-    """Tap indices for one spatial axis: (out_extent, idx[out,k], valid[out,k]).
+class _ConvPlan(NamedTuple):
+    """Slices that lower one conv geometry to a (C*K, P) column matrix.
 
-    Wrapped axes index modulo the extent (circular longitude); padded axes
-    clip out-of-range taps and mask them to zero.
+    The columns are channel-tap-major: row c*K + k holds tap k of channel c
+    at every output cell p, with K and P enumerating (k...) and (out...) in
+    C order.  Tap k of output o reads padded position o*stride + k on each
+    axis.
+    """
+    outs: tuple  # output extents
+    padded: tuple  # extents of the padded input the taps read
+    pad_copies: tuple  # (padded index, input index) pairs
+    taps: tuple  # per tap k, the index of its strided slab in the padded input
+    slabs: tuple  # (cell index, column index) per col2im add, in add order
+
+
+def _axis_runs(extent: int, kernel: int, stride: int, pad_pair: tuple[int, int], wrap: bool):
+    """One spatial axis: (out extent, padded extent, runs).
+
+    A run (q, cell, n) places input cells cell..cell+n-1 at padded positions
+    q..q+n-1; positions in no run are zero pads.  A wrapped axis (circular
+    longitude, centred taps) holds cell (q - lead) mod extent at q and splits
+    a run wherever that wraps; an unwrapped axis holds the input once, after
+    its leading pad.
     """
     if wrap:
         if extent % stride != 0:
             raise ShapeError(f"conv: wrapped extent {extent} not divisible by stride {stride}")
-        out = extent // stride
-        c = (kernel - 1) // 2
-        base = np.arange(out)[:, None] * stride + np.arange(kernel)[None, :] - c
-        return out, base % extent, np.ones((out, kernel), dtype=bool)
-    p0, p1 = pad_pair
-    out = (extent + p0 + p1 - kernel) // stride + 1
-    if out <= 0:
-        raise ShapeError(f"conv: kernel {kernel} too large for extent {extent} with pads {pad_pair}")
-    base = np.arange(out)[:, None] * stride + np.arange(kernel)[None, :] - p0
-    valid = (base >= 0) & (base < extent)
-    return out, np.clip(base, 0, extent - 1), valid
+        out, lead = extent // stride, (kernel - 1) // 2
+    else:
+        lead = pad_pair[0]
+        out = (extent + lead + pad_pair[1] - kernel) // stride + 1
+        if out <= 0:
+            raise ShapeError(f"conv: kernel {kernel} too large for extent {extent} with pads {pad_pair}")
+    padded = (out - 1) * stride + kernel
+    runs = []
+    if wrap:
+        q = 0
+        while q < padded:
+            cell = (q - lead) % extent
+            n = min(extent - cell, padded - q)
+            runs.append((q, cell, n))
+            q += n
+    elif padded > lead:
+        runs.append((lead, 0, min(extent, padded - lead)))
+    return out, padded, runs
 
 
-def _conv_plan(extents, kernel, stride, pads, wrap):
-    """Cached im2col plan: (out extents, flat tap index (P, K), tap mask (P, K)).
+def _tap_runs(t: int, stride: int, out: int, runs):
+    """col2im runs of tap t on one axis: (order key, cell slice, out slice).
 
-    flat[p, k] is the raveled spatial cell that tap k of output cell p reads;
-    P and K enumerate (out...) and (k...) in C order.  Out-of-range taps are
-    clipped to a valid cell and zeroed by the float mask.
+    Outputs lo..hi-1 of the tap land in one pad run, so on cells spaced by
+    the stride.  The key d - t, with d = q - cell the run's offset, grows
+    with the output index o = (cell + d - t) / stride that any one cell
+    receives from the run.
+    """
+    found = []
+    for q, cell, n in runs:
+        lo = max(0, -((t - q) // stride))
+        hi = min(out, -((t - q - n) // stride))
+        if lo < hi:
+            c0 = cell + t + lo * stride - q
+            found.append((q - cell - t, slice(c0, c0 + (hi - lo - 1) * stride + 1, stride),
+                          slice(lo, hi)))
+    return found
+
+
+def _conv_plan(extents, kernel, stride, pads, wrap) -> _ConvPlan:
+    """Cached _ConvPlan of one geometry; holds slices only, no index arrays.
+
+    im2col pads the input with pad_copies, then copies one strided slab per
+    tap.  col2im adds one slab per combination of per-axis tap runs: one per
+    tap on an unwrapped axis, at most two on a wrapped one, where a tap's
+    outputs span less than one extent.
+    Slab order contract: every cell sums its contributions from +0.0 by
+    ascending output index p, then ascending tap k, the order of an
+    np.add.at scatter.  Hence the slabs are sorted by every axis's run key
+    first, then by the taps; on an unwrapped axis that is descending taps.
+    Sorting axis by axis, key then tap, is wrong once a kernel is wider than
+    a wrapped extent.
     """
     key = (tuple(extents), tuple(kernel), tuple(stride), tuple(pads), tuple(wrap))
     hit = _PLAN_CACHE.get(key)
     if hit is not None:
         return hit
-    n = len(extents)
-    outs, grids, masks = [], [], []
-    for i in range(n):
-        o, ix, va = _axis_plan(extents[i], kernel[i], stride[i], pads[i], wrap[i])
-        # broadcastable over (out..., k...)
-        shape = [1] * (2 * n)
-        shape[i] = o
-        shape[n + i] = kernel[i]
-        outs.append(o)
-        grids.append(ix.reshape(shape))
-        masks.append(va.reshape(shape))
-    mask = masks[0]
-    for m in masks[1:]:
-        mask = mask & m
-    p, k = math.prod(outs), math.prod(kernel)
-    flat = np.ravel_multi_index(tuple(np.broadcast_arrays(*grids)), tuple(extents))
-    plan = (tuple(outs), flat.reshape(p, k), mask.reshape(p, k).astype(np.float64))
+    axes = [_axis_runs(*args) for args in zip(*key)]
+    outs = tuple(a[0] for a in axes)
+    padded = tuple(a[1] for a in axes)
+    pad_copies = tuple(
+        ((slice(None),) + tuple(slice(q, q + n) for q, _, n in combo),
+         (slice(None),) + tuple(slice(c, c + n) for _, c, n in combo))
+        for combo in itertools.product(*(runs for _, _, runs in axes)))
+    tap_grid = list(itertools.product(*(range(k) for k in kernel)))
+    taps = tuple((slice(None),) + tuple(slice(t, t + (o - 1) * s + 1, s)
+                                        for t, s, o in zip(tap, stride, outs))
+                 for tap in tap_grid)
+    ordered = []
+    for k, tap in enumerate(tap_grid):
+        per_axis = [_tap_runs(t, s, o, runs)
+                    for t, s, (o, _, runs) in zip(tap, stride, axes)]
+        for combo in itertools.product(*per_axis):
+            order = tuple(r[0] for r in combo) + tap
+            cells = (slice(None),) + tuple(r[1] for r in combo)
+            col = (slice(None), k) + tuple(r[2] for r in combo)
+            ordered.append((order, cells, col))
+    ordered.sort(key=lambda r: r[0])
+    plan = _ConvPlan(outs, padded, pad_copies, taps, tuple(r[1:] for r in ordered))
     _PLAN_CACHE[key] = plan
     return plan
 
@@ -653,39 +713,34 @@ def _norm_conv_args(x_shape, w_shape, stride, pads, wrap, op):
     return n, stride, pads, wrap
 
 
-def _scatter_add(cells: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
-    """out[cells[i]] += vals[i] over a zeroed float vector of length size.
+def _gather_cols(xv: np.ndarray, plan: _ConvPlan) -> np.ndarray:
+    """im2col: (C, *S) -> (C*K, P) column matrix, one strided slab copy per tap.
 
-    Every cell starts from +0.0 and adds its values one at a time in the C
-    order of cells, as numpy's unbuffered ufunc.at scatter does, so the sums
-    are bitwise equal to that scatter's.
+    The input is padded once, into a zeroed buffer, by slice copies; taps
+    outside an unwrapped axis read those +0.0 pads.
     """
-    out = np.bincount(cells.ravel(), weights=vals.ravel(), minlength=size)
-    return out.astype(np.float64, copy=False)  # bincount of no cells is int
+    c = xv.shape[0]
+    xp = np.zeros((c,) + plan.padded)
+    for dst, src in plan.pad_copies:
+        xp[dst] = xv[src]
+    cols = np.empty((c, len(plan.taps)) + plan.outs)
+    for k, tap in enumerate(plan.taps):
+        cols[:, k] = xp[tap]
+    return cols.reshape(c * len(plan.taps), -1)
 
 
-def _gather_cols(xv: np.ndarray, plan):
-    """im2col: (C, *S) -> (P, C*K) masked patch matrix."""
-    _, flat, mask = plan
-    (p, k), c = flat.shape, xv.shape[0]
-    patches = np.take(xv.reshape(c, -1), flat, axis=1)  # (C, P, K)
-    cols = np.empty((p, c, k))
-    np.multiply(patches.transpose(1, 0, 2), mask[:, None, :], out=cols)  # zero out-of-range taps
-    return cols.reshape(p, c * k)
+def _scatter_cols(gcols: np.ndarray, c_in: int, extents, plan: _ConvPlan) -> np.ndarray:
+    """col2im: (C*K, P) -> (C, *S) scatter-add, the adjoint of _gather_cols.
 
-
-def _scatter_cols(gcols: np.ndarray, c_in: int, extents, plan):
-    """col2im: (P, C*K) -> (C, *S) scatter-add, adjoint of _gather_cols.
-
-    Cell (c, s) only receives from channel c, so summing in (P, C, K) order
-    adds its contributions in the same (P, K) order as a (C, P, K) walk.
+    Strided slab adds in the plan's order, so every cell is bitwise what an
+    np.add.at scatter in (p, k) order gives; pad taps are dropped.
     """
-    _, flat, mask = plan
-    p, k = flat.shape
-    s = math.prod(extents)
-    vals = gcols.reshape(p, c_in, k) * mask[:, None, :]
-    cells = flat[:, None, :] + (np.arange(c_in) * s)[:, None]
-    return _scatter_add(cells, vals, c_in * s).reshape((c_in,) + tuple(extents))
+    vals = gcols.reshape((c_in, len(plan.taps)) + plan.outs)
+    out = np.zeros((c_in,) + tuple(extents))
+    for cells, col in plan.slabs:
+        dst = out[cells]
+        np.add(dst, vals[col], out=dst)
+    return out
 
 
 def conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads=None, wrap=None) -> Tensor:
@@ -702,10 +757,13 @@ def conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads=None, wra
         raise ShapeError(f"conv: input channels {x.shape[0]} != weight channels {c_in}")
     kernel = w.shape[2:]
     plan = _conv_plan(x.shape[1:], kernel, stride, pads, wrap)
-    outs = plan[0]
-    cols = _gather_cols(x.values, plan)
+    outs = plan.outs
+    cols = _gather_cols(x.values, plan)  # (C_in*K, P)
     wmat = w.values.reshape(c_out, -1)
-    y = cols @ wmat.T  # (P, C_out)
+    # The GEMMs here and in the rule take the columns as a transposed view, so
+    # BLAS sees the operand roles of a (P, C_in*K) im2col; swapping the roles
+    # (wmat @ cols) rounds differently on some shapes.
+    y = cols.T @ wmat.T  # (P, C_out)
     if b is not None:
         if b.shape != (c_out,):
             raise ShapeError(f"conv: bias {b.shape} must be ({c_out},)")
@@ -716,13 +774,12 @@ def conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads=None, wra
 
     def rule(g, saved, acc):
         (xv,) = saved
-        gmat = g.transpose(tuple(range(1, n + 1)) + (0,)).reshape(-1, c_out)
-        cols_r = _gather_cols(xv, plan)
-        acc(w, (gmat.T @ cols_r).reshape(w.shape))
+        gmat_t = g.reshape(c_out, -1)  # (C_out, P)
+        acc(w, (gmat_t @ _gather_cols(xv, plan).T).reshape(w.shape))
         if b is not None:
-            acc(b, gmat.sum(axis=0))
+            acc(b, gmat_t.T.sum(axis=0))
         if x.requires_grad:  # the stem conv's input is data
-            acc(x, _scatter_cols(gmat @ wmat, c_in, x.shape[1:], plan))
+            acc(x, _scatter_cols(wmat.T @ gmat_t, c_in, x.shape[1:], plan))
 
     return _record("conv", out, parents, (x.values,), rule)
 
@@ -746,17 +803,17 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads
     out_extents = tuple(out_extents)
     kernel = w.shape[2:]
     plan = _conv_plan(out_extents, kernel, stride, pads, wrap)
-    outs = plan[0]
+    outs = plan.outs
     if tuple(outs) != tuple(x.shape[1:]):
         raise ShapeError(
             f"conv_transpose: adjoint geometry maps {out_extents} -> {tuple(outs)}, "
             f"but input spatial extents are {tuple(x.shape[1:])}")
 
-    # w rows are channel-major over kernel taps, matching _scatter_cols layout
+    # w rows are channel-major over kernel taps, matching _scatter_cols layout;
+    # the GEMMs use transposed views as in conv
     wmat = w.values.reshape(c_in, -1)  # (C_in, C_out*K)
-    xmat = x.values.reshape(c_in, -1).T  # (P, C_in)
-    scat = xmat @ wmat  # (P, C_out*K)
-    y = _scatter_cols(scat, c_out, out_extents, plan)
+    xmat_t = x.values.reshape(c_in, -1)  # (C_in, P)
+    y = _scatter_cols(wmat.T @ xmat_t, c_out, out_extents, plan)
     if b is not None:
         if b.shape != (c_out,):
             raise ShapeError(f"conv_transpose: bias {b.shape} must be ({c_out},)")
@@ -767,10 +824,9 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads
 
     def rule(g, saved, acc):
         (xv,) = saved
-        gcols = _gather_cols(g, plan)  # (P, C_out*K)
-        acc(x, np.ascontiguousarray((gcols @ wmat.T).T.reshape(x.shape)))
-        xm = xv.reshape(c_in, -1).T
-        acc(w, (xm.T @ gcols).reshape(w.shape))
+        gcols = _gather_cols(g, plan)  # (C_out*K, P)
+        acc(x, np.ascontiguousarray((gcols.T @ wmat.T).T.reshape(x.shape)))
+        acc(w, (xv.reshape(c_in, -1) @ gcols.T).reshape(w.shape))
         if b is not None:
             axes = tuple(range(1, n + 1))
             acc(b, g.sum(axis=axes))

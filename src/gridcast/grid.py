@@ -33,6 +33,9 @@ class GridSpec:
     planet_radius_km: float = 6371.0
 
     def __post_init__(self):
+        floats = (self.north_lat, self.lat_step, self.lon_step, self.planet_radius_km)
+        if not all(math.isfinite(v) for v in floats):
+            raise ConfigError(f"grid float fields must be finite, got {floats}")
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"grid extents must be positive, got {self.rows}x{self.cols}")
         if self.lat_step <= 0 or self.lon_step <= 0:

@@ -79,6 +79,11 @@ class ModelConfig:
     max_dt: int = 336
 
     def __post_init__(self):
+        if self.level_patch < 1 or self.heads < 1:
+            raise ConfigError(
+                f"level_patch {self.level_patch} and heads {self.heads} must be at least 1")
+        if len(self.window) != 3 or min(self.window) < 1:
+            raise ConfigError(f"window {self.window} must be three positive extents")
         if self.levels % self.level_patch != 0:
             raise ConfigError(
                 f"levels {self.levels} not divisible by level patch {self.level_patch}")
@@ -100,8 +105,9 @@ class ModelConfig:
         if wd > de or wh > he or ww > we:
             raise ConfigError(
                 f"attention window {self.window} exceeds latent extents {(de, he, we)}")
-        if min(self.surface_in, self.surface_out, self.atmos_vars) < 1:
-            raise ConfigError("channel counts must be positive")
+        if min(self.surface_in, self.surface_out, self.atmos_vars, self.levels,
+               self.stem_channels, *self.stage_channels) < 1:
+            raise ConfigError("channel and level counts must be positive")
         if self.proc_blocks < 1 or self.enc_blocks < 1 or self.dec_blocks < 1:
             raise ConfigError("block counts must be positive")
         bad = [h for h in self.horizons if h < 1]

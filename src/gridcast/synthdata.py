@@ -10,6 +10,7 @@ gives downstream tests an exactly known answer.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -239,6 +240,7 @@ class _Reader:
 
 
 def load_dataset(blob: bytes) -> WeatherDataset:
+    """Parse a WMD3 blob; any malformed or non-finite content raises DataError."""
     r = _Reader(blob)
     if r.need(4) != MAGIC:
         raise DataError("not a WMD3 dataset (bad magic)")
@@ -247,7 +249,8 @@ def load_dataset(blob: bytes) -> WeatherDataset:
         raise DataError(f"unsupported WMD3 version {version}")
     rows_f, cols_f, north, lat_step, lon_step, radius = struct.unpack(
         "<6d", r.need(48))
-    if rows_f != int(rows_f) or cols_f != int(cols_f):
+    if not (math.isfinite(rows_f) and math.isfinite(cols_f)) \
+            or rows_f != int(rows_f) or cols_f != int(cols_f):
         raise DataError("non-integer grid dimensions")
     (flags,) = struct.unpack("<B", r.need(1))
     try:
@@ -261,27 +264,40 @@ def load_dataset(blob: bytes) -> WeatherDataset:
         "<6I", r.need(24))
     if s_in < 1 or s_out < s_in or a_vars < 1 or levels < 1 or n_sources < 1:
         raise DataError("invalid channel counts in header")
-    times = np.frombuffer(r.need(8 * n_times), dtype="<i8").astype(np.int64)
 
     h, w = grid.rows, grid.cols
     n_truth = s_out + a_vars * levels
     n_in = s_in + a_vars * levels
+    truth_bytes = n_truth * h * w * 4
+    src_bytes = n_in * h * w * 4
+    # check the size the header implies before allocating anything for it
+    body = n_times * (8 + truth_bytes + n_sources * src_bytes)
+    if r.pos + body > len(blob):
+        raise DataError(f"dataset file truncated: header implies {body} bytes after it, "
+                        f"{len(blob) - r.pos} present")
+    if r.pos + body < len(blob):
+        raise DataError(f"{len(blob) - r.pos - body} trailing bytes after dataset")
+    times = np.frombuffer(r.need(8 * n_times), dtype="<i8").astype(np.int64)
     truth = np.empty((n_times, n_truth, h, w), dtype=np.float32)
     srcs = [np.empty((n_times, n_in, h, w), dtype=np.float32)
             for _ in range(n_sources)]
-    truth_bytes = n_truth * h * w * 4
-    src_bytes = n_in * h * w * 4
     for t in range(n_times):
         truth[t] = np.frombuffer(r.need(truth_bytes),
                                  dtype="<f4").reshape(n_truth, h, w)
+        _check_finite(truth[t], "truth", t)
         for j in range(n_sources):
             srcs[j][t] = np.frombuffer(r.need(src_bytes),
                                        dtype="<f4").reshape(n_in, h, w)
-    if r.pos != len(blob):
-        raise DataError(f"{len(blob) - r.pos} trailing bytes after dataset")
+            _check_finite(srcs[j][t], f"source {j}", t)
     return WeatherDataset(grid=grid, surface_in=s_in, surface_out=s_out,
                           atmos_vars=a_vars, levels=levels, times=times,
                           truth=truth, sources=tuple(srcs))
+
+
+def _check_finite(planes: np.ndarray, field: str, t: int) -> None:
+    if not np.isfinite(planes).all():
+        p = int(np.argmin(np.isfinite(planes).all(axis=(1, 2))))
+        raise DataError(f"non-finite value in {field} plane {p} at time index {t}")
 
 
 def save_dataset_file(ds: WeatherDataset, path) -> None:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import gridcast.autodiff as ad
 from gridcast.autodiff import (
@@ -58,6 +58,25 @@ def fd_check(fn, tensors, rel_tol=1e-4, eps=1e-5, n_dirs=8, seed=0):
 # ---------------------------------------------------------------------------
 # forward oracles
 # ---------------------------------------------------------------------------
+
+@st.composite
+def _geometries(draw):
+    n = draw(st.sampled_from((2, 3)))
+    extents, kernel, stride, pads, wrap = [], [], [], [], []
+    for _ in range(n):
+        s = draw(st.sampled_from((1, 2)))
+        w = draw(st.booleans())
+        e = draw(st.integers(1, 5)) * s if w else draw(st.integers(1, 9))
+        p = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        k = draw(st.integers(1, 4))
+        assume(w or e + p[0] + p[1] >= k)
+        extents.append(e)
+        kernel.append(k)
+        stride.append(s)
+        pads.append(p)
+        wrap.append(w)
+    return tuple(extents), tuple(kernel), tuple(stride), tuple(pads), tuple(wrap)
+
 
 class TestForward:
     def test_add_mul_broadcast(self):
@@ -159,27 +178,26 @@ class TestForward:
                     wrap=(False, False, True))
         assert y.shape == (4, 3, 6, 8)
 
-    def test_conv_transpose_is_adjoint(self):
+    @settings(max_examples=60, deadline=None)
+    @given(_geometries(), st.integers(0, 2 ** 31))
+    @example(((6, 8), (4, 4), (2, 2), ((1, 1), (0, 0)), (False, True)), 0)
+    @example(((5, 5), (3, 3), (1, 1), ((1, 1), (1, 1)), (False, False)), 0)
+    @example(((6, 8), (3, 3), (2, 2), ((0, 0), (0, 0)), (True, True)), 0)
+    def test_conv_transpose_is_adjoint(self, key, seed):
         # <conv(x), y> == <x, conv_transpose(y)> for every geometry tested
-        geoms = [
-            dict(stride=2, pads=[(1, 1), (0, 0)], wrap=(False, True), big=(6, 8), k=(4, 4)),
-            dict(stride=1, pads=[(1, 1), (1, 1)], wrap=(False, False), big=(5, 5), k=(3, 3)),
-            dict(stride=2, pads=[(0, 0), (0, 0)], wrap=(True, True), big=(6, 8), k=(3, 3)),
-        ]
-        for gm in geoms:
-            c1, c2 = 3, 2
-            xb = RNG.standard_normal((c1,) + gm["big"])
-            wf = RNG.standard_normal((c2, c1) + gm["k"])
-            y = ad.conv(t(xb), t(wf), stride=gm["stride"], pads=gm["pads"],
-                        wrap=gm["wrap"]).values
-            ys = RNG.standard_normal(y.shape)
-            # weight for the transpose carries (C_in, C_out, *K) = (c2, c1, *K)
-            xt = ad.conv_transpose(t(ys), t(wf.transpose(0, 1, *range(2, 2 + len(gm["k"])))),
-                                   stride=gm["stride"], pads=gm["pads"], wrap=gm["wrap"],
-                                   out_extents=gm["big"]).values
-            lhs = float((y * ys).sum())
-            rhs = float((xb * xt).sum())
-            assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs)), gm
+        extents, kernel, stride, pads, wrap = key
+        rng = np.random.default_rng(seed)
+        c1, c2 = 3, 2
+        xb = rng.standard_normal((c1,) + extents)
+        wf = rng.standard_normal((c2, c1) + kernel)
+        y = ad.conv(t(xb), t(wf), stride=stride, pads=pads, wrap=wrap).values
+        ys = rng.standard_normal(y.shape)
+        # weight for the transpose carries (C_in, C_out, *K) = (c2, c1, *K)
+        xt = ad.conv_transpose(t(ys), t(wf), stride=stride, pads=pads, wrap=wrap,
+                               out_extents=extents).values
+        lhs = float((y * ys).sum())
+        rhs = float((xb * xt).sum())
+        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs)), key
 
     def test_conv_wrap_stride_divisibility(self):
         x = t(RNG.standard_normal((1, 4, 7)))
@@ -499,38 +517,51 @@ def test_circular_pad_backward_is_adjoint(extent, before, after):
 # ---------------------------------------------------------------------------
 
 def _ref_taps(key):
-    """Broadcastable per-axis tap grids and float mask over (out..., k...)."""
+    """Broadcastable per-axis tap grids and bool mask over (out..., k...).
+
+    Straight from the conv definition: tap k of output o reads position
+    o*stride + k - lead, modulo the extent on a wrapped axis (lead centres
+    the taps) and masked outside it otherwise (lead is the leading pad).
+    """
     extents, kernel, stride, pads, wrap = key
     n = len(extents)
     outs, grids, mask = [], [], True
     for i in range(n):
-        o, ix, va = ad._axis_plan(extents[i], kernel[i], stride[i], pads[i], wrap[i])
+        e, k, s = extents[i], kernel[i], stride[i]
+        if wrap[i]:
+            o, lead = e // s, (k - 1) // 2
+        else:
+            o, lead = (e + sum(pads[i]) - k) // s + 1, pads[i][0]
+        pos = np.arange(o)[:, None] * s + np.arange(k) - lead
+        valid = np.ones(pos.shape, bool) if wrap[i] else (pos >= 0) & (pos < e)
         shape = [1] * (2 * n)
-        shape[i], shape[n + i] = o, kernel[i]
+        shape[i], shape[n + i] = o, k
         outs.append(o)
-        grids.append(ix.reshape(shape))
-        mask = mask & va.reshape(shape)
-    return outs, grids, mask.astype(np.float64)
+        grids.append((pos % e).reshape(shape))
+        mask = mask & valid.reshape(shape)
+    return outs, grids, mask
 
 
 def _ref_gather(xv, key):
+    """(C*K, P) columns: row c*K + k holds tap k of channel c."""
     outs, grids, mask = _ref_taps(key)
     n = len(outs)
-    patches = xv[(slice(None),) + tuple(grids)] * mask  # (C, out..., k...)
-    perm = tuple(range(1, n + 1)) + (0,) + tuple(range(n + 1, 2 * n + 1))
-    return np.ascontiguousarray(patches.transpose(perm).reshape(math.prod(outs), -1))
+    # np.where, not * mask: a masked tap is +0.0, as a zero pad is, while
+    # x * 0.0 is -0.0 for negative x
+    patches = np.where(mask, xv[(slice(None),) + tuple(grids)], 0.0)  # (C, out..., k...)
+    perm = (0,) + tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1))
+    return np.ascontiguousarray(patches.transpose(perm).reshape(xv.shape[0] * math.prod(key[1]), -1))
 
 
 def _ref_scatter(gcols, c_in, key):
     outs, grids, mask = _ref_taps(key)
     n = len(outs)
-    kdims = tuple(g.shape[n + i] for i, g in enumerate(grids))
-    vals = gcols.reshape(tuple(outs) + (c_in,) + kdims)
-    perm = (n,) + tuple(range(n)) + tuple(range(n + 1, 2 * n + 1))
-    vals = vals.transpose(perm) * mask  # (C, out..., k...)
+    vals = gcols.reshape((c_in,) + tuple(key[1]) + tuple(outs))
+    perm = (0,) + tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1))
+    vals = np.where(mask, vals.transpose(perm), 0.0)  # (C, out..., k...)
     gx = np.zeros((c_in,) + tuple(key[0]))
     ch = np.arange(c_in).reshape((c_in,) + (1,) * (2 * n))
-    np.add.at(gx, (ch,) + tuple(grids), vals)
+    np.add.at(gx, (ch,) + tuple(grids), vals)  # in (c, p, k) order
     return gx
 
 
@@ -563,27 +594,9 @@ def test_im2col_bitwise_on_every_desk_plan():
         _assert_im2col_matches_reference(key, 3, rng)
 
 
-@st.composite
-def _geometries(draw):
-    n = draw(st.sampled_from((2, 3)))
-    extents, kernel, stride, pads, wrap = [], [], [], [], []
-    for _ in range(n):
-        s = draw(st.sampled_from((1, 2)))
-        w = draw(st.booleans())
-        e = draw(st.integers(1, 5)) * s if w else draw(st.integers(1, 9))
-        p = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
-        k = draw(st.integers(1, 4))
-        assume(w or e + p[0] + p[1] >= k)
-        extents.append(e)
-        kernel.append(k)
-        stride.append(s)
-        pads.append(p)
-        wrap.append(w)
-    return tuple(extents), tuple(kernel), tuple(stride), tuple(pads), tuple(wrap)
-
-
 @settings(max_examples=60, deadline=None)
 @given(_geometries(), st.integers(1, 3), st.integers(0, 2 ** 31))
+@example(((1, 2), (2, 2), (1, 1), ((0, 0), (0, 0)), (True, True)), 1, 0)  # kernel > wrapped extent
 def test_im2col_bitwise_on_random_geometries(key, c_in, seed):
     _assert_im2col_matches_reference(key, c_in, np.random.default_rng(seed))
 

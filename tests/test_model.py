@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gridcast.autodiff as ad
 import gridcast.model as gm
@@ -95,6 +96,33 @@ class TestConfig:
     def test_dict_round_trip(self):
         cfg = tiny_config()
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+_CONFIG_VALUES = st.one_of(
+    st.integers(-3, 100).map(str),
+    st.floats().map(repr),
+    st.lists(st.integers(-2, 60), max_size=4).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["", "true", "1e400", "1e5", "x"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(config_to_dict(desk_config()))), _CONFIG_VALUES)
+@example("window", "3,3")
+@example("heads", "0")
+@example("level_patch", "0")
+@example("lat_step", "nan")
+@example("planet_radius_km", "inf")
+def test_mutated_config_file_raises_only_config_error(tmp_path_factory, key, value):
+    path = tmp_path_factory.mktemp("cfg") / "desk.cfg"
+    save_config(path, desk_config())
+    lines = [f"{key} = {value}\n" if ln.split(" = ")[0] == key else ln
+             for ln in path.read_text().splitlines(keepends=True)]
+    path.write_text("".join(lines))
+    try:
+        load_config(path)
+    except ConfigError:
+        pass
 
 
 class TestForwardShapes:

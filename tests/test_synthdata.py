@@ -1,7 +1,10 @@
 """Synthetic data: wave statistics, container round trip, extraction."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcast.errors import ConfigError, DataError
 from gridcast.grid import GridSpec, desk_grid
@@ -137,6 +140,27 @@ class TestContainer:
         with pytest.raises(DataError):
             load_dataset(blob + b"\x00")
 
+    def test_huge_header_count_raises_before_allocating(self):
+        blob = bytearray(dump_dataset(small_ds(hours=1)))
+        struct.pack_into("<I", blob, 61, 2 ** 31)  # surface_out
+        with pytest.raises(DataError, match="truncated"):
+            load_dataset(bytes(blob))
+
+    @pytest.mark.parametrize("field, block, value", [
+        ("truth", 0, np.nan), ("source 1", 2, np.inf)])
+    def test_non_finite_plane_names_time_and_field(self, field, block, value):
+        ds = small_ds(hours=2, n_sources=2)
+        truth_bytes = ds.truth[0].nbytes
+        src_bytes = ds.sources[0][0].nbytes
+        blob = bytearray(dump_dataset(ds))
+        # each time holds the truth block, then the source blocks
+        time1 = 81 + 8 * ds.n_times + truth_bytes + 2 * src_bytes
+        start = time1 + (block and truth_bytes + (block - 1) * src_bytes)
+        plane4 = start + 4 * ds.truth[0, 0].nbytes
+        struct.pack_into("<f", blob, plane4 + 40, value)
+        with pytest.raises(DataError, match=f"{field} plane 4 at time index 1"):
+            load_dataset(bytes(blob))
+
     def test_desk_grid_header_survives(self):
         ds = generate_dataset(desk_grid(), 4, 6, 3, 8, hours=2, seed=1)
         back = load_dataset(dump_dataset(ds))
@@ -176,3 +200,23 @@ class TestExtraction:
             WeatherDataset(grid=ds.grid, surface_in=2, surface_out=3,
                            atmos_vars=2, levels=4, times=ds.times,
                            truth=ds.truth.astype(np.float64), sources=ds.sources)
+
+
+_FUZZ_BLOB = dump_dataset(small_ds(hours=1, n_sources=2))
+_HEADER_BYTES = 81 + 8 * 2  # through the time axis
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_or_truncated_blob_raises_only_data_error(data):
+    blob = bytearray(_FUZZ_BLOB)
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+            pos = data.draw(st.integers(0, _HEADER_BYTES - 1), label="position")
+            blob[pos] = data.draw(st.integers(0, 255), label="byte")
+    try:
+        load_dataset(bytes(blob))
+    except DataError:
+        pass

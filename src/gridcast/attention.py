@@ -5,13 +5,19 @@ rectangular window around itself: columns wrap around the globe, depth and
 row windows slide inward at the boundaries, and every token sees exactly
 prod(window) keys.
 
-Positions enter through rotary phases on query/key pairs.  The column band
-uses integer wavenumbers so a full trip around the longitude axis closes
-exactly, which makes attention equivariant to rolling the grid in longitude.
-Depth and row bands use geometrically spaced wavelengths.
+Positions enter through rotary phases on query/key pairs.  Depth and row
+bands use geometrically spaced wavelengths and each token's own phase.  The
+column band uses integer wavenumbers, so its phase difference between a
+query and a key depends only on their column offset; the query takes that
+relative phase per column tap of the window and the key none.  Scores then
+depend on column offsets alone, which makes attention exactly (bitwise)
+equivariant to rolling the grid in longitude.
 
 Block layout is pre-norm: x + attn(norm(x)), then x + mlp(norm(x)) with a
-4x GELU expansion.
+4x GELU expansion.  The attention half is LN1, one GEMM onto the fused
+(T, 3 * dim) query/key/value projection, then autodiff.neighborhood_attention:
+one tape node that rotates, gathers the neighbors, scores, softmaxes and
+weights the values in a (heads, T, K, dh) layout, then the output projection.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from .grid import neighborhood
 
 __all__ = [
     "rotary_tables",
-    "apply_rotary",
     "natten_block",
+    "attention_weights",
     "init_block_params",
     "block_param_names",
 ]
@@ -45,15 +51,19 @@ def _pair_split(n_pairs: int) -> tuple[int, int, int]:
 _ROTARY_CACHE: dict = {}
 
 
-def rotary_tables(extents: tuple[int, int, int], head_dim: int):
-    """cos/sin phase tables, each (T, 1, head_dim // 2) float64.
+def rotary_tables(extents: tuple[int, int, int], head_dim: int, col_window: int | None = None):
+    """cos/sin phase tables, each (T, C, head_dim // 2) float64.
 
-    Middle singleton broadcasts over heads.  Column phases are
-    2*pi*k*w / W with integer k so that w -> w + W closes exactly; depth and
-    row phases use wavelengths spaced geometrically from 4 cells up to twice
-    the axis extent.
+    Depth and row phases use wavelengths spaced geometrically from 4 cells
+    up to twice the axis extent.  With col_window None, C = 1 and the column
+    band holds each token's absolute phase 2*pi*k*w / W, with integer k so
+    that w -> w + W closes exactly.  With col_window = C, the column band of
+    tap c instead holds the query's phase relative to a key c - (C - 1) // 2
+    columns east, 2*pi*k*((C - 1) // 2 - c) / W, and the centre tap holds
+    phase 0: the query phases autodiff.neighborhood_attention takes per
+    column tap.
     """
-    key = (tuple(extents), head_dim)
+    key = (tuple(extents), head_dim, col_window)
     hit = _ROTARY_CACHE.get(key)
     if hit is not None:
         return hit
@@ -66,7 +76,8 @@ def rotary_tables(extents: tuple[int, int, int], head_dim: int):
     d, h, w = extents
     t = d * h * w
     di, hi, wi = np.unravel_index(np.arange(t), (d, h, w))
-    angles = np.empty((t, n_pairs), dtype=np.float64)
+    taps = 1 if col_window is None else col_window
+    angles = np.empty((t, taps, n_pairs), dtype=np.float64)
 
     def axis_wavelengths(extent: int, n: int) -> np.ndarray:
         lo, hi_ = 4.0, max(8.0, 2.0 * extent)
@@ -74,22 +85,18 @@ def rotary_tables(extents: tuple[int, int, int], head_dim: int):
             return np.array([hi_])
         return lo * (hi_ / lo) ** (np.arange(n) / (n - 1))
 
-    angles[:, :pd] = 2.0 * math.pi * di[:, None] / axis_wavelengths(d, pd)[None, :]
-    angles[:, pd:pd + pr] = 2.0 * math.pi * hi[:, None] / axis_wavelengths(h, pr)[None, :]
+    angles[:, :, :pd] = (2.0 * math.pi * di[:, None] / axis_wavelengths(d, pd)[None, :])[:, None]
+    angles[:, :, pd:pd + pr] = (2.0 * math.pi * hi[:, None]
+                                / axis_wavelengths(h, pr)[None, :])[:, None]
     wavenumbers = np.arange(1, pc + 1, dtype=np.float64)
-    angles[:, pd + pr:] = 2.0 * math.pi * wi[:, None] * wavenumbers[None, :] / w
-    tables = (np.ascontiguousarray(np.cos(angles)[:, None, :]),
-              np.ascontiguousarray(np.sin(angles)[:, None, :]))
+    if col_window is None:
+        angles[:, 0, pd + pr:] = 2.0 * math.pi * wi[:, None] * wavenumbers[None, :] / w
+    else:
+        offsets = (taps - 1) // 2 - np.arange(taps)
+        angles[:, :, pd + pr:] = 2.0 * math.pi * offsets[:, None] * wavenumbers[None, :] / w
+    tables = (np.cos(angles), np.sin(angles))
     _ROTARY_CACHE[key] = tables
     return tables
-
-
-def apply_rotary(x: Tensor, cos: Tensor, sin: Tensor) -> Tensor:
-    """Rotate feature pairs of x (T, heads, dh) by per-token phases."""
-    half = x.shape[-1] // 2
-    x1 = x[:, :, :half]
-    x2 = x[:, :, half:]
-    return ad.concat([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
 def block_param_names(prefix: str) -> list[str]:
@@ -143,12 +150,12 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.matmul(x, w) + b
 
 
-def _attention(x: Tensor, params: dict[str, Tensor], prefix: str,
-               extents: tuple[int, int, int], window: tuple[int, int, int], heads: int):
-    """LN1 -> q/k -> rotary -> neighborhood scores -> softmax.
+def _projection(x: Tensor, params: dict[str, Tensor], prefix: str,
+                extents: tuple[int, int, int], window: tuple[int, int, int], heads: int):
+    """LN1 -> one GEMM onto the fused (T, 3 * dim) q/k/v projection.
 
-    Returns the normalized tokens, the neighbor table (T, K) and the
-    attention weights (T, heads, 1, K).
+    Returns the projection, the neighbor table (T, K) and the rotary query
+    phases of the window's column taps.
     """
     t, dim = x.shape
     d, h, w = extents
@@ -156,25 +163,16 @@ def _attention(x: Tensor, params: dict[str, Tensor], prefix: str,
         raise ConfigError(f"token count {t} != prod of extents {extents}")
     if dim % heads != 0:
         raise ConfigError(f"dim {dim} not divisible by heads {heads}")
-    dh = dim // heads
     table = neighborhood(extents, window)  # (T, K), validates window fit
-    cos_np, sin_np = rotary_tables(extents, dh)
-    cos = Tensor(cos_np, copy=False)
-    sin = Tensor(sin_np, copy=False)
+    cos, sin = rotary_tables(extents, dim // heads, col_window=window[2])
 
     def p(name):
-        return params[f"{prefix}.{name}"]
+        return params[f"{prefix}.attn.{name}"]
 
-    hn = ad.layernorm(x, p("ln1.gain"), p("ln1.bias"))
-    q = _linear(hn, p("attn.wq"), p("attn.bq")).reshape(t, heads, dh)
-    k = _linear(hn, p("attn.wk"), p("attn.bk")).reshape(t, heads, dh)
-    q = apply_rotary(q, cos, sin)
-    k = apply_rotary(k, cos, sin)
-
-    k_n = ad.take(k, table).transpose(0, 2, 1, 3)  # (T, heads, K, dh)
-    q4 = q.reshape(t, heads, 1, dh) * (1.0 / math.sqrt(dh))
-    scores = ad.matmul(q4, k_n.transpose(0, 1, 3, 2))  # (T, heads, 1, K)
-    return hn, table, ad.softmax(scores, axis=-1)
+    hn = ad.layernorm(x, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"])
+    w_qkv = ad.concat([p("wq"), p("wk"), p("wv")], axis=1)
+    b_qkv = ad.concat([p("bq"), p("bk"), p("bv")])
+    return _linear(hn, w_qkv, b_qkv), table, cos, sin
 
 
 def natten_block(x: Tensor, params: dict[str, Tensor], prefix: str,
@@ -185,12 +183,8 @@ def natten_block(x: Tensor, params: dict[str, Tensor], prefix: str,
     def p(name):
         return params[f"{prefix}.{name}"]
 
-    hn, table, attn = _attention(x, params, prefix, extents, window, heads)
-    t, dim = x.shape
-    dh = dim // heads
-    v = _linear(hn, p("attn.wv"), p("attn.bv")).reshape(t, heads, dh)
-    v_n = ad.take(v, table).transpose(0, 2, 1, 3)  # (T, heads, K, dh)
-    ctx = ad.matmul(attn, v_n).reshape(t, dim)
+    qkv, table, cos, sin = _projection(x, params, prefix, extents, window, heads)
+    ctx = ad.neighborhood_attention(qkv, table, cos, sin, heads)
     x = x + _linear(ctx, p("attn.wo"), p("attn.bo"))
 
     hn2 = ad.layernorm(x, p("ln2.gain"), p("ln2.bias"))
@@ -202,8 +196,12 @@ def natten_block(x: Tensor, params: dict[str, Tensor], prefix: str,
 def attention_weights(x_values: np.ndarray, params: dict[str, Tensor], prefix: str,
                       extents: tuple[int, int, int], window: tuple[int, int, int],
                       heads: int) -> np.ndarray:
-    """Softmax attention matrix (T, heads, K) for inspection, no tape."""
+    """Softmax attention matrix (T, heads, K) for inspection, no tape.
+
+    The same forward as natten_block's: the fused projection, then
+    autodiff.neighborhood_attention's numpy forward.
+    """
     with ad.no_grad():
-        _, table, attn = _attention(Tensor(x_values), params, prefix, extents,
-                                    window, heads)
-    return attn.values.reshape(x_values.shape[0], heads, table.shape[1])
+        qkv, table, cos, sin = _projection(Tensor(x_values), params, prefix, extents,
+                                           window, heads)
+    return ad.neighborhood_weights(qkv.values, table, cos, sin, heads)

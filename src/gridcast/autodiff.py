@@ -373,14 +373,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     x._check_alive("gelu")
     xv = x.values
-    out = 0.5 * xv * (1.0 + erf(xv * _INV_SQRT2))
+    cdf = 0.5 * (1.0 + erf(xv * _INV_SQRT2))
+    out = xv * cdf
 
     def rule(g, saved, acc):
-        (v,) = saved
-        d = 0.5 * (1.0 + erf(v * _INV_SQRT2)) + v * np.exp(-0.5 * v * v) * _INV_SQRT2PI
-        acc(x, g * d)
+        v, c = saved
+        acc(x, g * (c + v * np.exp(-0.5 * v * v) * _INV_SQRT2PI))
 
-    return _record("gelu", out, (x,), (xv,), rule)
+    return _record("gelu", out, (x,), (xv, cdf), rule)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -538,46 +538,150 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
     return _record("take", out, (x,), (), rule)
 
 
-def pad(x: Tensor, pads: Sequence[tuple[int, int]], mode: str = "zero") -> Tensor:
-    """Pad every axis by (before, after); mode 'zero' or 'circular'."""
-    x._check_alive("pad")
-    pads = [tuple(p) for p in pads]
-    if len(pads) != x.values.ndim:
-        raise ShapeError(f"pad: {len(pads)} pad pairs for rank {x.values.ndim}")
-    if mode == "zero":
-        out = np.pad(x.values, pads)
-    elif mode == "circular":
-        for (b, a), e in zip(pads, x.shape):
-            if b > e or a > e:
-                raise ShapeError(f"pad: circular pad ({b},{a}) exceeds extent {e}")
-        out = np.pad(x.values, pads, mode="wrap")
-    else:
-        raise ShapeError(f"pad: unknown mode {mode!r}")
+# ---------------------------------------------------------------------------
+# neighborhood attention
+# ---------------------------------------------------------------------------
+
+def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate the feature pairs (x[..., i], x[..., i + dh/2]) by per-pair phases.
+
+    cos and sin broadcast against x[..., :dh/2].  rotate_pairs(x, cos, -sin)
+    is the inverse rotation, which is also its transpose.
+    """
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    out = np.empty(np.broadcast_shapes(x1.shape, cos.shape)[:-1] + (2 * half,))
+    lo, hi = out[..., :half], out[..., half:]
+    np.multiply(x1, cos, out=lo)
+    lo -= x2 * sin
+    np.multiply(x1, sin, out=hi)
+    hi += x2 * cos
+    return out
+
+
+def _check_attention(op: str, qkv_shape, table: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                     heads: int) -> None:
+    if len(qkv_shape) != 2 or heads < 1 or qkv_shape[1] % (3 * heads) != 0:
+        raise ShapeError(
+            f"{op}: qkv {qkv_shape} is not (T, 3 * dim) with dim divisible by {heads} heads")
+    t, dh = qkv_shape[0], qkv_shape[1] // (3 * heads)
+    if dh % 2 != 0:
+        raise ShapeError(f"{op}: head dim {dh} is odd; rotary phases need feature pairs")
+    if table.ndim != 2 or table.shape[0] != t or not np.issubdtype(table.dtype, np.integer):
+        raise ShapeError(f"{op}: neighbor table {table.shape} is not ({t}, K) integers")
+    if table.size and (table.min() < 0 or table.max() >= t):
+        raise ShapeError(f"{op}: neighbor index out of range for {t} tokens")
+    if cos.shape != sin.shape or cos.ndim != 3 or cos.shape[0] != t or cos.shape[2] != dh // 2:
+        raise ShapeError(f"{op}: phases {cos.shape}/{sin.shape} are not ({t}, C, {dh // 2})")
+    if table.shape[1] % cos.shape[1] != 0:
+        raise ShapeError(
+            f"{op}: {table.shape[1]} neighbors do not split into {cos.shape[1]} column taps")
+
+
+def _attend(qkv: np.ndarray, table: np.ndarray, cos: np.ndarray, sin: np.ndarray, heads: int):
+    """numpy forward of neighborhood_attention, in the (heads, T, K, dh) layout.
+
+    Returns the context (T, dim) and what the backward keeps: the rotated,
+    scaled queries q (heads, T, C, dh), the rotated keys k and the values v
+    (heads, T, dh), and the softmax weights (heads, T, K).
+    """
+    t, width = qkv.shape
+    dh = width // (3 * heads)
+    centre = (cos.shape[1] - 1) // 2
+    x = qkv.reshape(t, 3, heads, dh).transpose(1, 2, 0, 3)  # (3, heads, T, dh) view
+    q = rotate_pairs(x[0][:, :, None, :], cos, sin)
+    q *= 1.0 / math.sqrt(dh)
+    k = rotate_pairs(x[1], cos[:, centre], sin[:, centre])
+    v = np.ascontiguousarray(x[2])
+    kn = np.take(k, table, axis=1).reshape(heads, t, cos.shape[1], -1, dh)  # per column tap
+    weights = np.einsum("htcmd,htcd->htcm", kn, q).reshape(heads, t, -1)  # softmaxed in place
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    ctx = np.matmul(weights[:, :, None, :], np.take(v, table, axis=1))  # (heads, T, 1, dh)
+    out = np.ascontiguousarray(ctx.reshape(heads, t, dh).transpose(1, 0, 2)).reshape(t, -1)
+    return out, q, k, v, weights
+
+
+def _inverse_table(table: np.ndarray, extent: int) -> np.ndarray:
+    """Where each token sits in table: (extent, R) flat positions t*K + j.
+
+    Row n lists every position holding n in ascending order, padded at the
+    end with table.size; R is the largest count.
+    """
+    flat = table.ravel()
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat, minlength=extent)
+    rank = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    inv = np.full((extent, counts.max(initial=0)), flat.size)
+    inv[flat[order], rank] = order
+    return inv
+
+
+def neighborhood_attention(qkv: Tensor, table: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                           heads: int) -> Tensor:
+    """Rotary neighborhood attention from a fused projection, as one tape node.
+
+    qkv (T, 3*dim) holds the query, key and value projections side by side,
+    each split into heads of dh = dim / heads features.  Token t attends to
+    the K tokens table[t].  cos and sin (T, C, dh/2) are rotary phases: the
+    K neighbors split into C runs, one per column tap as grid.neighborhood
+    orders them; the query of t takes phase [t, c] against the neighbors of
+    run c, and each key takes its own token's phase at the centre tap
+    (C - 1) // 2.  With C = 1 that is plain rotary attention;
+    attention.rotary_tables explains the column taps.
+    Scores carry the 1/sqrt(dh) scale, a shifted softmax over the K neighbors
+    weights the values, and the context (T, dim) is returned.
+
+    Backward keeps only the rotated q, k, v and the weights and gathers the
+    neighbors again.  Each key and value sums its gradient over the window
+    positions that hold it, listed in ascending order by _inverse_table, in
+    one batched dot: no scatter, and a token in several windows sums in a
+    fixed order.
+    """
+    qkv._check_alive("neighborhood_attention")
+    table = np.asarray(table)
+    _check_attention("neighborhood_attention", qkv.shape, table, cos, sin, heads)
+    out, q, k, v, weights = _attend(qkv.values, table, cos, sin, heads)
+    t = qkv.shape[0]
+    centre = (cos.shape[1] - 1) // 2
 
     def rule(g, saved, acc):
-        gg = g
-        for ax, (b, a) in enumerate(pads):
-            e = x.shape[ax]
-            sl = [slice(None)] * gg.ndim
-            sl[ax] = slice(b, b + e)
-            core = gg[tuple(sl)].copy()  # must not mutate the incoming grad
-            if mode == "circular":
-                if b:
-                    sl[ax] = slice(0, b)
-                    head = gg[tuple(sl)]
-                    tgt = [slice(None)] * core.ndim
-                    tgt[ax] = slice(e - b, e)
-                    core[tuple(tgt)] += head
-                if a:
-                    sl[ax] = slice(b + e, b + e + a)
-                    tail = gg[tuple(sl)]
-                    tgt = [slice(None)] * core.ndim
-                    tgt[ax] = slice(0, a)
-                    core[tuple(tgt)] += tail
-            gg = core
-        acc(x, gg)
+        q, k, v, w = saved
+        h, _, taps, dh = q.shape
+        g4 = g.reshape(t, h, dh).transpose(1, 0, 2)  # (heads, T, dh) view
+        kn = np.take(k, table, axis=1)
+        vn = np.take(v, table, axis=1)
+        gw = np.matmul(vn, g4[..., None])[..., 0]
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        gq = np.matmul(gs.reshape(h, t, taps, 1, -1), kn.reshape(h, t, taps, -1, dh))[..., 0, :]
+        gq = rotate_pairs(gq * (1.0 / math.sqrt(dh)), cos, -sin).sum(axis=2)
+        # each key and value sums its neighbor gradients over the (t, j) that
+        # hold it, ascending, as one batched dot with padding zeros
+        inv = _inverse_table(table, t)  # (T, R) flat t*K + j, padded with T*K
+        src, j = np.divmod(inv, table.shape[1])  # token T for a pad
+        q_row = src * taps + j // (table.shape[1] // taps)  # tap of j's run
+        pad, zero_row = np.zeros((h, 1)), np.zeros((h, 1, dh))
+        gs_t = np.concatenate([gs.reshape(h, -1), pad], axis=1)[:, inv]
+        w_t = np.concatenate([w.reshape(h, -1), pad], axis=1)[:, inv]
+        q_rows = np.concatenate([q.reshape(h, -1, dh), zero_row], axis=1)
+        g_rows = np.concatenate([g4, zero_row], axis=1)
+        gk = np.matmul(gs_t[:, :, None, :], np.take(q_rows, q_row, axis=1))
+        gv = np.matmul(w_t[:, :, None, :], np.take(g_rows, src, axis=1))
+        gk = rotate_pairs(gk[:, :, 0], cos[:, centre], -sin[:, centre])
+        gqkv = np.stack([gq, gk, gv[:, :, 0]]).transpose(2, 0, 1, 3)  # (T, 3, heads, dh)
+        acc(qkv, np.ascontiguousarray(gqkv).reshape(t, -1))
 
-    return _record("pad", out, (x,), (), rule)
+    return _record("neighborhood_attention", out, (qkv,), (q, k, v, weights), rule)
+
+
+def neighborhood_weights(qkv: np.ndarray, table: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                         heads: int) -> np.ndarray:
+    """Softmax weights (T, heads, K) of neighborhood_attention, no tape."""
+    table = np.asarray(table)
+    _check_attention("neighborhood_weights", qkv.shape, table, cos, sin, heads)
+    weights = _attend(qkv, table, cos, sin, heads)[4]
+    return np.ascontiguousarray(np.moveaxis(weights, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -839,26 +943,24 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads
 # ---------------------------------------------------------------------------
 
 def _topo(root: Tensor) -> list[tuple[Tensor, TapeNode]]:
-    """Tensors with nodes, parents-first, each exactly once."""
-    order: list[tuple[Tensor, TapeNode]] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    """Tensors with nodes reachable from root, each exactly once, oldest first.
+
+    Creation order is a topological order, since a node is made after its
+    parents.  Sweeping it in reverse, rather than in a search order, adds a
+    leaf's gradient terms in the reverse of the order the graph was built
+    in, so a chain gives the same sums whether or not parts of it ran as
+    checkpoint segments: a segment's recompute sweeps its own part of the
+    chain at that same place.
+    """
+    found: dict[int, tuple[Tensor, TapeNode]] = {}
+    stack = [root]
     while stack:
-        t, done = stack.pop()
-        node = t.node
-        if node is None:
+        t = stack.pop()
+        if t.node is None or id(t) in found:
             continue
-        if done:
-            order.append((t, node))
-            continue
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        stack.append((t, True))
-        for p in node.parents:
-            if p.node is not None and id(p) not in seen:
-                stack.append((p, False))
-    return order
+        found[id(t)] = (t, t.node)
+        stack.extend(t.node.parents)
+    return sorted(found.values(), key=lambda item: item[1].gen)
 
 
 def _backward_impl(root: Tensor, seed: np.ndarray, set_grad_attr: bool, min_gen: int = 0):

@@ -66,6 +66,12 @@ def _ensure_parent(path: str) -> None:
 
 
 def _versions() -> dict:
+    """Package versions, the BLAS build and its thread settings.
+
+    Loss and gradient bits depend on the BLAS thread count, so a run
+    reproduces bitwise only under the same OPENBLAS_NUM_THREADS and
+    OMP_NUM_THREADS (None when unset).
+    """
     out = {"gridcast": __version__, "numpy": np.__version__,
            "python": platform.python_version()}
     try:
@@ -73,6 +79,11 @@ def _versions() -> dict:
         out["scipy"] = scipy.__version__
     except ImportError:
         pass
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    out["blas"] = blas.get("name")
+    out["blas_version"] = blas.get("version")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        out[var] = os.environ.get(var)
     return out
 
 

@@ -111,7 +111,10 @@ def neighborhood(extents: tuple[int, int, int], window: tuple[int, int, int]) ->
     """Flat neighbor table of shape (T, K) over a (depth, row, col) box.
 
     T = prod(extents), K = prod(window).  Depth and row use bumped windows,
-    col wraps modulo the width.  Every token gets exactly K neighbors.
+    col wraps modulo the width.  Every token gets exactly K neighbors.  The
+    K axis enumerates (col tap, depth tap, row tap) in C order, column tap
+    slowest, so each column tap's neighbors are one contiguous run; the
+    attention scores group them that way.
     """
     key = (tuple(extents), tuple(window))
     hit = _NEIGHBOR_CACHE.get(key)
@@ -124,9 +127,9 @@ def neighborhood(extents: tuple[int, int, int], window: tuple[int, int, int]) ->
     d_idx = bump_starts(d, wd)[:, None] + np.arange(wd)[None, :]          # (D, wd)
     h_idx = bump_starts(h, wh)[:, None] + np.arange(wh)[None, :]          # (H, wh)
     w_idx = (np.arange(w)[:, None] + np.arange(ww)[None, :] - (ww - 1) // 2) % w  # (W, ww)
-    flat = (d_idx[:, None, None, :, None, None] * (h * w)
-            + h_idx[None, :, None, None, :, None] * w
-            + w_idx[None, None, :, None, None, :])
+    flat = (d_idx[:, None, None, None, :, None] * (h * w)
+            + h_idx[None, :, None, None, None, :] * w
+            + w_idx[None, None, :, :, None, None])
     table = np.ascontiguousarray(flat.reshape(d * h * w, wd * wh * ww), dtype=np.int64)
     table.setflags(write=False)
     _NEIGHBOR_CACHE[key] = table

@@ -1,11 +1,13 @@
 """Attention blocks: rotary properties, geometry invariants, gradients."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gridcast.autodiff as ad
 from gridcast.attention import (
-    apply_rotary,
     attention_weights,
     block_param_names,
     init_block_params,
@@ -14,6 +16,7 @@ from gridcast.attention import (
 )
 from gridcast.autodiff import Tensor, backward
 from gridcast.errors import ConfigError
+from gridcast.grid import neighborhood
 
 RNG = np.random.default_rng(777)
 EXT = (2, 7, 10)  # (depth, rows, cols)
@@ -70,8 +73,8 @@ class TestRotary:
         def dot_at(p1, p2):
             qq = np.repeat(q, w, axis=0)
             kk = np.repeat(k, w, axis=0)
-            rq = apply_rotary(Tensor(qq), Tensor(cos, copy=False), Tensor(sin, copy=False)).values
-            rk = apply_rotary(Tensor(kk), Tensor(cos, copy=False), Tensor(sin, copy=False)).values
+            rq = ad.rotate_pairs(qq, cos, sin)
+            rk = ad.rotate_pairs(kk, cos, sin)
             return float((rq[p1, 0] * rk[p2, 0]).sum())
 
         base = dot_at(5, 2)
@@ -83,7 +86,7 @@ class TestRotary:
     def test_rotation_preserves_norm(self):
         cos, sin = rotary_tables(EXT, 8)
         x = RNG.standard_normal((np.prod(EXT), 2, 8))
-        y = apply_rotary(Tensor(x), Tensor(cos, copy=False), Tensor(sin, copy=False)).values
+        y = ad.rotate_pairs(x, cos, sin)
         np.testing.assert_allclose(
             (y**2).sum(axis=-1), (x**2).sum(axis=-1), rtol=1e-12)
 
@@ -212,3 +215,185 @@ class TestBlockGradients:
             return grads[x].tobytes()
 
         assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# the fused primitive against the composition it replaced
+# ---------------------------------------------------------------------------
+
+DESK_EXT, DESK_WIN, DESK_DIM, DESK_HEADS = (3, 5, 10), (3, 3, 3), 48, 4
+
+
+def _oracle_rotary(x, cos, sin):
+    half = x.shape[-1] // 2
+    x1 = x[:, :, :half]
+    x2 = x[:, :, half:]
+    return ad.concat([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+
+
+def _oracle_attention(q, k, v, extents, window, heads):
+    """Attention core from tape ops: absolute rotary, take, transposes, matmuls.
+
+    q, k, v are (T, dim) Tensors; returns the context (T, dim) and the
+    weights (T, heads, 1, K).
+    """
+    t, dim = q.shape
+    dh = dim // heads
+    table = neighborhood(extents, window)
+    cos_np, sin_np = rotary_tables(extents, dh)
+    cos, sin = Tensor(cos_np, copy=False), Tensor(sin_np, copy=False)
+    q = _oracle_rotary(q.reshape(t, heads, dh), cos, sin)
+    k = _oracle_rotary(k.reshape(t, heads, dh), cos, sin)
+    k_n = ad.take(k, table).transpose(0, 2, 1, 3)
+    q4 = q.reshape(t, heads, 1, dh) * (1.0 / math.sqrt(dh))
+    attn = ad.softmax(ad.matmul(q4, k_n.transpose(0, 1, 3, 2)), axis=-1)
+    v_n = ad.take(v.reshape(t, heads, dh), table).transpose(0, 2, 1, 3)
+    return ad.matmul(attn, v_n).reshape(t, dim), attn
+
+
+def _oracle_block(x, params, prefix, extents, window, heads):
+    def p(name):
+        return params[f"{prefix}.{name}"]
+
+    def linear(a, w, b):
+        return ad.matmul(a, p(w)) + p(b)
+
+    hn = ad.layernorm(x, p("ln1.gain"), p("ln1.bias"))
+    ctx, _ = _oracle_attention(linear(hn, "attn.wq", "attn.bq"), linear(hn, "attn.wk", "attn.bk"),
+                               linear(hn, "attn.wv", "attn.bv"), extents, window, heads)
+    x = x + linear(ctx, "attn.wo", "attn.bo")
+    hn2 = ad.layernorm(x, p("ln2.gain"), p("ln2.bias"))
+    return x + linear(ad.gelu(linear(hn2, "mlp.w1", "mlp.b1")), "mlp.w2", "mlp.b2")
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+def _primitive(qkv, extents, window, heads):
+    dh = qkv.shape[1] // (3 * heads)
+    cos, sin = rotary_tables(extents, dh, col_window=window[2])
+    return ad.neighborhood_attention(qkv, neighborhood(extents, window), cos, sin, heads)
+
+
+def _check_primitive_against_oracle(extents, window, heads, dh, seed):
+    rng = np.random.default_rng(seed)
+    t, dim = int(np.prod(extents)), heads * dh
+    qkv_np = rng.standard_normal((t, 3 * dim))
+    seed_out = rng.standard_normal((t, dim))
+    qkv = Tensor(qkv_np, requires_grad=True)
+    out = _primitive(qkv, extents, window, heads)
+    got = backward(out, seed=seed_out, leaves=[qkv])[qkv]
+    ref_in = Tensor(qkv_np, requires_grad=True)
+    ref_out, ref_attn = _oracle_attention(ref_in[:, :dim], ref_in[:, dim:2 * dim],
+                                          ref_in[:, 2 * dim:], extents, window, heads)
+    weights = ref_attn.values.reshape(t, heads, -1)
+    ref = backward(ref_out, seed=seed_out, leaves=[ref_in])[ref_in]
+    assert _rel(out.values, ref_out.values) < 1e-13
+    assert _rel(got, ref) < 1e-13
+    cos, sin = rotary_tables(extents, dh, col_window=window[2])
+    shown = ad.neighborhood_weights(qkv_np, neighborhood(extents, window), cos, sin, heads)
+    assert _rel(shown, weights) < 1e-13
+
+
+class TestFusedPrimitive:
+    def test_desk_geometry_matches_oracle(self):
+        _check_primitive_against_oracle(DESK_EXT, DESK_WIN, DESK_HEADS, DESK_DIM // DESK_HEADS, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(2, 8), st.data(),
+           st.integers(1, 3), st.sampled_from([6, 8, 12]))
+    def test_random_geometries_match_oracle(self, d, h, w, data, heads, dh):
+        # small extents make the depth and row windows bump at both ends and
+        # the column window wrap, so boundary tokens get duplicate neighbors
+        window = (data.draw(st.integers(1, d)), data.draw(st.integers(1, h)),
+                  data.draw(st.integers(1, w)))
+        _check_primitive_against_oracle((d, h, w), window, heads, dh, d * 100 + h * 10 + w)
+
+    def test_desk_block_matches_oracle(self):
+        rng = np.random.default_rng(1)
+        params = init_block_params(rng, DESK_DIM, DESK_HEADS, "blk", zero_residual=False)
+        x_np = rng.standard_normal((int(np.prod(DESK_EXT)), DESK_DIM))
+        seed_out = rng.standard_normal(x_np.shape)
+        leaves = [params[k] for k in sorted(params)]
+
+        def grads(block):
+            x = Tensor(x_np, requires_grad=True)
+            y = block(x, params, "blk", DESK_EXT, DESK_WIN, DESK_HEADS)
+            g = backward(y, seed=seed_out, leaves=[x] + leaves)
+            return y.values, [g[x]] + [g[p] for p in leaves]
+
+        y, got = grads(natten_block)
+        y_ref, ref = grads(_oracle_block)
+        assert _rel(y, y_ref) < 1e-13
+        for name, a, b in zip(["x"] + sorted(params), got, ref):
+            assert _rel(a, b) < 1e-13, name
+
+    def test_central_difference(self):
+        ext, win, heads, dh = (2, 3, 5), (2, 3, 3), 2, 6
+        rng = np.random.default_rng(2)
+        t, dim = int(np.prod(ext)), heads * dh
+        qkv = Tensor(rng.standard_normal((t, 3 * dim)), requires_grad=True)
+        weight = Tensor(rng.standard_normal((t, dim)))
+        g = backward((_primitive(qkv, ext, win, heads) * weight).sum(), leaves=[qkv])[qkv]
+        eps = 1e-6
+        for _ in range(8):
+            u = rng.standard_normal(qkv.shape)
+            u /= np.linalg.norm(u)
+            with ad.no_grad():
+                f = [(_primitive(Tensor(qkv.values + s * eps * u), ext, win, heads)
+                      * weight).sum().item() for s in (1.0, -1.0)]
+            fd = (f[0] - f[1]) / (2 * eps)
+            an = float((g * u).sum())
+            assert abs(fd - an) <= 1e-7 * max(abs(fd), abs(an), 1e-8)
+
+    def test_inverse_table_lists_every_window_position_in_order(self):
+        # bumped depth and row windows put boundary tokens in more windows
+        # than a token has neighbors; backward sums over exactly these lists
+        table = neighborhood((3, 5, 6), (3, 3, 3))
+        t, k = table.shape
+        inv = ad._inverse_table(table, t)
+        counts = np.bincount(table.ravel(), minlength=t)
+        assert counts.max() > k and inv.shape == (t, counts.max())
+        for n in range(t):
+            held = inv[n][inv[n] < t * k]
+            assert held.tolist() == np.flatnonzero(table.ravel() == n).tolist()
+            assert (inv[n][counts[n]:] == t * k).all()
+
+    def test_bad_inputs_raise_shape_error(self):
+        qkv = Tensor(RNG.standard_normal((6, 36)))
+        table = np.zeros((6, 3), dtype=np.int64)
+        cos = np.ones((6, 3, 3))
+        with pytest.raises(ad.ShapeError):
+            ad.neighborhood_attention(qkv, table, cos, cos, 5)  # 36 not 3 * 5 * dh
+        with pytest.raises(ad.ShapeError):
+            ad.neighborhood_attention(qkv, table + 6, cos, cos, 2)  # index out of range
+        with pytest.raises(ad.ShapeError):
+            ad.neighborhood_attention(qkv, table, cos[:, :2], cos[:, :2], 2)  # 3 taps into 2
+
+
+class TestFusedBlock:
+    def test_longitude_roll_equivariance_is_bitwise(self):
+        params = init_block_params(np.random.default_rng(4), DESK_DIM, DESK_HEADS, "blk",
+                                   zero_residual=False)
+        d, h, w = DESK_EXT
+        x = RNG.standard_normal((d, h, w, DESK_DIM))
+
+        def run(arr):
+            y = natten_block(Tensor(arr.reshape(-1, DESK_DIM)), params, "blk", DESK_EXT,
+                             DESK_WIN, DESK_HEADS)
+            return y.values.reshape(d, h, w, DESK_DIM)
+
+        y = run(x)
+        for shift in (1, 4, w - 1):
+            assert run(np.roll(x, shift, axis=2)).tobytes() == np.roll(y, shift, axis=2).tobytes()
+
+    def test_desk_processor_block_tape_is_smaller(self):
+        # the composed block recorded 51 nodes pinning 4,918,776 B
+        params = init_block_params(np.random.default_rng(0), DESK_DIM, DESK_HEADS, "proc6.blk0",
+                                   zero_residual=False)
+        x = Tensor(RNG.standard_normal((int(np.prod(DESK_EXT)), DESK_DIM)), requires_grad=True)
+        ad.reset_tape_stats()
+        natten_block(x, params, "proc6.blk0", DESK_EXT, DESK_WIN, DESK_HEADS)
+        stats = ad.tape_stats()
+        assert (stats.nodes_created, stats.saved_bytes_current) == (16, 1_621_152)

@@ -117,14 +117,6 @@ class TestForward:
         np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-4)
 
-    def test_pad_circular_matches_roll(self):
-        x = t(RNG.standard_normal((3, 5)))
-        y = ad.pad(x, [(0, 0), (2, 2)], mode="circular").values
-        assert y.shape == (3, 9)
-        np.testing.assert_array_equal(y[:, 2:7], x.values)
-        np.testing.assert_array_equal(y[:, :2], x.values[:, -2:])
-        np.testing.assert_array_equal(y[:, 7:], x.values[:, :2])
-
     def test_take_gather(self):
         x = t(RNG.standard_normal((7, 3)))
         idx = np.array([[0, 6], [2, 2]])
@@ -250,7 +242,7 @@ class TestGradients:
         fd_check(lambda v: (v.transpose(2, 0, 1).reshape(8, 5) * 3.0).sum(), [x])
         fd_check(lambda v: v[1:3, ::2].sum(), [x])
 
-    def test_concat_take_pad(self):
+    def test_concat_take(self):
         a, b = t(RNG.standard_normal((2, 3))), t(RNG.standard_normal((4, 3)))
         fd_check(lambda x, y: (ad.concat([x, y], axis=0) ** 2 if False else
                                (ad.concat([x, y], axis=0) * ad.concat([x, y], axis=0))).sum(),
@@ -258,10 +250,6 @@ class TestGradients:
         x = t(RNG.standard_normal((5, 3)))
         idx = np.array([[0, 4, 2], [2, 2, 1]])
         fd_check(lambda v: (ad.take(v, idx) * ad.take(v, idx)).sum(), [x])
-        fd_check(lambda v: (ad.pad(v, [(1, 2), (2, 1)], mode="circular")
-                            * ad.pad(v, [(1, 2), (2, 1)], mode="circular")).sum(), [x])
-        fd_check(lambda v: (ad.pad(v, [(1, 0), (0, 2)], mode="zero")
-                            * ad.pad(v, [(1, 0), (0, 2)], mode="zero")).sum(), [x])
 
     def test_conv2d(self):
         x = t(RNG.standard_normal((2, 5, 6)))
@@ -496,22 +484,6 @@ def test_layernorm_shift_invariant(rows, d):
     assert np.abs(y1 - y2).max() < 1e-9
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 10), st.integers(1, 4), st.integers(0, 3))
-def test_circular_pad_backward_is_adjoint(extent, before, after):
-    assume(before <= extent and after <= extent)
-    rng = np.random.default_rng(extent * 31 + before * 7 + after)
-    x = Tensor(rng.standard_normal(extent), requires_grad=True)
-    y = ad.pad(x, [(before, after)], mode="circular")
-    seed = rng.standard_normal(y.shape)
-    grads = backward(y, seed=seed)
-    # adjoint property against a dense matrix of the padding map
-    mat = np.zeros((extent + before + after, extent))
-    for i in range(extent + before + after):
-        mat[i, (i - before) % extent] = 1.0
-    np.testing.assert_allclose(grads[x], mat.T @ seed, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # scatter and gather against an np.add.at reference
 # ---------------------------------------------------------------------------
@@ -616,3 +588,29 @@ def test_take_backward_bitwise_vs_add_at(idx):
     np.add.at(ref, idx, seed)
     assert grads[x].dtype == np.float64 and grads[x].shape == ref.shape
     assert grads[x].tobytes() == ref.tobytes()
+
+
+def _gelu_before_cdf_reuse(x, g):
+    """gelu forward and input gradient as written before the forward kept the CDF."""
+    from scipy.special import erf
+    inv_sqrt2, inv_sqrt2pi = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0 * math.pi)
+    out = 0.5 * x * (1.0 + erf(x * inv_sqrt2))
+    d = 0.5 * (1.0 + erf(x * inv_sqrt2)) + x * np.exp(-0.5 * x * x) * inv_sqrt2pi
+    return out, g * d
+
+
+def test_gelu_bitwise_vs_formula_without_cdf_reuse():
+    rng = np.random.default_rng(6)
+    tiny = np.finfo(np.float64).tiny
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, tiny, -tiny,
+                      1e-20, -1e-20, 40.0, -40.0, 1e300, -1e300, np.inf, -np.inf])
+    x = np.concatenate([np.linspace(-40.0, 40.0, 200_001), edges,
+                        rng.standard_normal(50_000) * 10.0 ** rng.integers(-12, 3, 50_000)])
+    g = rng.standard_normal(x.shape)
+    xt = Tensor(x, requires_grad=True)
+    with np.errstate(invalid="ignore", over="ignore"):  # -inf * 0 and 1e300**2
+        ref_out, ref_grad = _gelu_before_cdf_reuse(x, g)
+        y = ad.gelu(xt)
+        grads = backward(y, seed=g, leaves=[xt])
+    assert y.values.tobytes() == ref_out.tobytes()
+    assert grads[xt].tobytes() == ref_grad.tobytes()

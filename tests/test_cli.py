@@ -213,6 +213,19 @@ class TestBlendedForecast:
         man = json.loads((tmp_path / "fc.lmtw.manifest.json").read_text())
         assert config_from_dict(man["config"]) == load_config(spec_file)
 
+    def test_manifest_records_blas_build_and_threads(self, tmp_path, spec_file, data_file,
+                                                     monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        params = two_source_params(tmp_path, [0.0, 0.0])
+        out = str(tmp_path / "fc.lmtw")
+        assert main(self.argv(spec_file, params, data_file, out)) == 0
+        versions = json.loads((tmp_path / "fc.lmtw.manifest.json").read_text())["versions"]
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert versions["blas"] == build["name"] and versions["blas_version"] == build["version"]
+        assert versions["OPENBLAS_NUM_THREADS"] == "1"
+        assert versions["OMP_NUM_THREADS"] is None
+
 
 class TestBenchOffload:
     def test_csv_rows(self, tmp_path):

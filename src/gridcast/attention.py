@@ -35,8 +35,9 @@ __all__ = [
     "rotary_tables",
     "natten_block",
     "attention_weights",
+    "block_layout",
+    "draw_params",
     "init_block_params",
-    "block_param_names",
 ]
 
 MLP_EXPANSION = 4
@@ -99,51 +100,43 @@ def rotary_tables(extents: tuple[int, int, int], head_dim: int, col_window: int 
     return tables
 
 
-def block_param_names(prefix: str) -> list[str]:
-    return [f"{prefix}.{s}" for s in (
-        "ln1.gain", "ln1.bias",
-        "attn.wq", "attn.bq", "attn.wk", "attn.bk",
-        "attn.wv", "attn.bv", "attn.wo", "attn.bo",
-        "ln2.gain", "ln2.bias",
-        "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2",
-    )]
+def block_layout(dim: int, prefix: str, zero_residual: bool = True) -> list:
+    """Every block parameter as (name, shape, init), in draw order.
 
-
-def init_block_params(rng: np.random.Generator, dim: int, heads: int, prefix: str,
-                      zero_residual: bool = True) -> dict[str, Tensor]:
-    """Fresh block parameters.
-
+    init is "ones", "zeros" or the factor on a standard-normal draw.
     zero_residual zeroes the attention output and MLP output projections so
     a freshly initialized block is the identity map, which keeps deep stacks
     trainable from step one.  Gradient-check tests turn it off.
     """
+    s, hidden = 1.0 / math.sqrt(dim), MLP_EXPANSION * dim
+    out_scale = 0.0 if zero_residual else s
+    return [(f"{prefix}.{name}", shape, init) for name, shape, init in (
+        ("ln1.gain", (dim,), "ones"), ("ln1.bias", (dim,), "zeros"),
+        ("attn.wq", (dim, dim), s), ("attn.bq", (dim,), "zeros"),
+        ("attn.wk", (dim, dim), s), ("attn.bk", (dim,), "zeros"),
+        ("attn.wv", (dim, dim), s), ("attn.bv", (dim,), "zeros"),
+        ("attn.wo", (dim, dim), out_scale), ("attn.bo", (dim,), "zeros"),
+        ("ln2.gain", (dim,), "ones"), ("ln2.bias", (dim,), "zeros"),
+        ("mlp.w1", (dim, hidden), s), ("mlp.b1", (hidden,), "zeros"),
+        ("mlp.w2", (hidden, dim), 0.0 if zero_residual else 1.0 / math.sqrt(hidden)),
+        ("mlp.b2", (dim,), "zeros"),
+    )]
+
+
+def draw_params(rng: np.random.Generator, layout) -> dict[str, Tensor]:
+    """Fresh trainable tensors for a (name, shape, init) layout, drawn in order."""
+    return {name: Tensor(np.ones(shape) if init == "ones"
+                         else np.zeros(shape) if init == "zeros"
+                         else rng.standard_normal(shape) * init, requires_grad=True)
+            for name, shape, init in layout}
+
+
+def init_block_params(rng: np.random.Generator, dim: int, heads: int, prefix: str,
+                      zero_residual: bool = True) -> dict[str, Tensor]:
+    """Fresh block parameters, drawn from block_layout."""
     if dim % heads != 0:
         raise ConfigError(f"dim {dim} not divisible by heads {heads}")
-    s = 1.0 / math.sqrt(dim)
-    hidden = MLP_EXPANSION * dim
-
-    def w(shape, scale):
-        return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape), requires_grad=True)
-
-    out_scale = 0.0 if zero_residual else s
-    p = {
-        f"{prefix}.ln1.gain": ones(dim), f"{prefix}.ln1.bias": zeros(dim),
-        f"{prefix}.attn.wq": w((dim, dim), s), f"{prefix}.attn.bq": zeros(dim),
-        f"{prefix}.attn.wk": w((dim, dim), s), f"{prefix}.attn.bk": zeros(dim),
-        f"{prefix}.attn.wv": w((dim, dim), s), f"{prefix}.attn.bv": zeros(dim),
-        f"{prefix}.attn.wo": w((dim, dim), out_scale), f"{prefix}.attn.bo": zeros(dim),
-        f"{prefix}.ln2.gain": ones(dim), f"{prefix}.ln2.bias": zeros(dim),
-        f"{prefix}.mlp.w1": w((dim, hidden), s), f"{prefix}.mlp.b1": zeros(hidden),
-        f"{prefix}.mlp.w2": w((hidden, dim), out_scale if zero_residual else 1.0 / math.sqrt(hidden)),
-        f"{prefix}.mlp.b2": zeros(dim),
-    }
-    return p
+    return draw_params(rng, block_layout(dim, prefix, zero_residual))
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -268,9 +268,6 @@ class Tensor:
             raise ShapeError(f"item: tensor of shape {self.shape} is not a scalar")
         return float(self.values.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values, requires_grad=False, copy=False)
-
 
 def _coerce(x) -> Tensor:
     if isinstance(x, Tensor):

@@ -30,6 +30,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .errors import ConfigError, DataError
 from .model import (
+    LatentState,
     available_sources,
     blend_sources,
     config_to_dict,
@@ -37,11 +38,10 @@ from .model import (
     encode,
     init_model_params,
     load_config,
-    process,
     tiny_config,
 )
 from .offload import OffloadEngine
-from .rollout import greedy_plan, plan_hours, rollout
+from .rollout import greedy_plan, rollout
 from .serialization import ContainerError, load_params_file, save_params_file
 from .synthdata import generate_dataset, load_dataset_file, save_dataset_file
 from .training import add_source_encoders, train
@@ -181,21 +181,13 @@ def _cmd_forecast(args, argv) -> int:
                               f"(dataset carries {ds.n_sources})")
         return j
 
-    engine = None
-    if args.offload:
-        engine = OffloadEngine(budget_bytes=args.budget_bytes,
-                               lookahead=args.lookahead)
-    try:
-        with ad.no_grad():
-            lats = [encode(ds.input_state(idx, ds_index(s)), params, cfg,
-                           source=s) for s in sources]
-            lat = lats[0] if len(lats) == 1 else blend_sources(lats, params, sources)
-            plan = greedy_plan(args.dt, cfg.max_dt)
-            lat = rollout(lat, plan, params, cfg, engine=engine)
-            dec = decode(lat, params, cfg)
-    finally:
-        if engine is not None:
-            engine.close()
+    with ad.no_grad():
+        lats = [encode(ds.input_state(idx, ds_index(s)), params, cfg,
+                       source=s) for s in sources]
+        lat = lats[0] if len(lats) == 1 else blend_sources(lats, params, sources)
+        plan = greedy_plan(args.dt, cfg.max_dt)
+        lat = rollout(lat, plan, params, cfg)
+        dec = decode(lat, params, cfg)
 
     out = _resolve_out(args.out)
     _ensure_parent(out)
@@ -286,24 +278,17 @@ def _cmd_scorecard(args, argv) -> int:
 
 def _bench_workload(n_segments: int, budget: int, lookahead: int,
                     latency_us: float):
-    """One offloaded forward+backward over a chain of identical token mixers."""
+    """One offloaded forward+backward over a rollout of six-hour processor steps."""
     cfg = tiny_config()
     params = init_model_params(cfg, seed=0, zero_residual=False)
-    ext = (cfg.depth_planes, cfg.grid.rows // 8, cfg.grid.cols // 8)
-    n_tokens = ext[0] * ext[1] * ext[2]
     rng = np.random.default_rng(42)
-    z0 = Tensor(rng.standard_normal((n_tokens, cfg.hidden)), requires_grad=True)
-
-    from .model import LatentState
-
-    def step(tokens):
-        return process(LatentState(tokens, 0, ext), params, cfg, 6).tokens
-
+    z0 = Tensor(rng.standard_normal((cfg.tokens, cfg.hidden)), requires_grad=True)
     engine = OffloadEngine(budget_bytes=budget, lookahead=lookahead,
                            latency_us=latency_us)
     try:
         t0 = time.time()
-        z = engine.run_segments([step] * n_segments, z0)
+        z = rollout(LatentState(z0, 0, cfg.latent_extents), (6,) * n_segments,
+                    params, cfg, engine=engine).tokens
         loss = (z * z).mean()
         backward(loss, leaves=[z0])
         wall = time.time() - t0
@@ -399,10 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--source", action="append",
                    help="input source name; repeat to blend several")
     f.add_argument("--offload", action="store_true",
-                   help="pass an offload engine as the rollout's segment store; "
-                        "a forecast records no tape, so the engine stores nothing")
-    f.add_argument("--budget-bytes", type=int, default=1 << 28)
-    f.add_argument("--lookahead", type=int, default=2)
+                   help="no effect: a forecast records no tape, so there is "
+                        "nothing to offload")
 
     e = sub.add_parser("evaluate", help="score a forecast file against truth")
     e.add_argument("--forecast", required=True)

@@ -15,12 +15,12 @@ plane for the surface branch plus one per folded level group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .attention import block_param_names, init_block_params, natten_block
+from .attention import block_layout, draw_params, natten_block
 from .autodiff import Tensor
 from .errors import ConfigError
 from .grid import GridSpec, N_STATIC_FIELDS, desk_grid, quarter_degree_grid, static_fields
@@ -33,6 +33,7 @@ __all__ = [
     "WeatherState",
     "DecodedFields",
     "LatentState",
+    "model_layout",
     "init_model_params",
     "encode",
     "process",
@@ -177,10 +178,6 @@ class DecodedFields:
     surface: Tensor  # (surface_out, rows, cols)
     atmos: Tensor  # (atmos_vars, levels, rows, cols)
 
-    def to_state(self) -> WeatherState:
-        return WeatherState(self.valid_time, self.surface.values.copy(),
-                            self.atmos.values.copy())
-
 
 @dataclass
 class LatentState:
@@ -194,55 +191,62 @@ class LatentState:
 # parameter initialization
 # ---------------------------------------------------------------------------
 
-def _conv_w(rng, c_out, c_in, k, scale=None):
+def _conv_layout(name, c_out, c_in, k=3, transposed=False, scale=None) -> list:
+    """Layout of a conv's weight and bias, the weight scaled by its fan-in.
+
+    A transposed conv's weight is (c_in, c_out, k, k).
+    """
+    shape = (c_in, c_out, k, k) if transposed else (c_out, c_in, k, k)
     s = scale if scale is not None else 1.0 / math.sqrt(c_in * k * k)
-    return Tensor(rng.standard_normal((c_out, c_in, k, k)) * s, requires_grad=True)
+    return [(f"{name}.w", shape, s), (f"{name}.b", (c_out,), "zeros")]
 
 
-def _convt_w(rng, c_in, c_out, k, scale=None):
-    s = scale if scale is not None else 1.0 / math.sqrt(c_in * k * k)
-    return Tensor(rng.standard_normal((c_in, c_out, k, k)) * s, requires_grad=True)
+def _res_layout(prefix, c) -> list:
+    return [e for j in range(2) for conv in ("conv1", "conv2")
+            for e in _conv_layout(f"{prefix}.res{j}.{conv}", c, c)]
 
 
-def _zeros(*shape):
-    return Tensor(np.zeros(shape), requires_grad=True)
+def model_layout(cfg: ModelConfig, zero_residual: bool = True,
+                 extra_sources: tuple[str, ...] = ()) -> list:
+    """Every model parameter as (name, shape, init), in draw order.
 
+    An encoder per source (stems, pyramid stages, blocks), the processor
+    stacks per horizon, then the decoder (blocks, up-stages, heads); init
+    is as in attention.block_layout.
+    """
+    def blocks(prefix, n):
+        return [e for i in range(n)
+                for e in block_layout(cfg.hidden, f"{prefix}.blk{i}", zero_residual)]
 
-def _stage_params(rng, prefix, c_in, c_out, p):
-    p[f"{prefix}.down.w"] = _conv_w(rng, c_out, c_in, 3)
-    p[f"{prefix}.down.b"] = _zeros(c_out)
-    for j in range(2):
-        p[f"{prefix}.res{j}.conv1.w"] = _conv_w(rng, c_out, c_out, 3)
-        p[f"{prefix}.res{j}.conv1.b"] = _zeros(c_out)
-        p[f"{prefix}.res{j}.conv2.w"] = _conv_w(rng, c_out, c_out, 3)
-        p[f"{prefix}.res{j}.conv2.b"] = _zeros(c_out)
+    def encoder(prefix):
+        out = (_conv_layout(f"{prefix}.stem_sfc", cfg.stem_channels,
+                            cfg.surface_in + N_STATIC_FIELDS)
+               + _conv_layout(f"{prefix}.stem_atm", cfg.stem_channels,
+                              cfg.atmos_vars * cfg.level_patch))
+        chans = (cfg.stem_channels,) + cfg.stage_channels
+        for i in range(DOWNSAMPLE_STAGES):
+            out += (_conv_layout(f"{prefix}.stage{i}.down", chans[i + 1], chans[i])
+                    + _res_layout(f"{prefix}.stage{i}", chans[i + 1]))
+        return out + blocks(prefix, cfg.enc_blocks)
 
-
-def _upstage_params(rng, prefix, c_in, c_out, p):
-    p[f"{prefix}.up.w"] = _convt_w(rng, c_in, c_out, 4)
-    p[f"{prefix}.up.b"] = _zeros(c_out)
-    for j in range(2):
-        p[f"{prefix}.res{j}.conv1.w"] = _conv_w(rng, c_out, c_out, 3)
-        p[f"{prefix}.res{j}.conv1.b"] = _zeros(c_out)
-        p[f"{prefix}.res{j}.conv2.w"] = _conv_w(rng, c_out, c_out, 3)
-        p[f"{prefix}.res{j}.conv2.b"] = _zeros(c_out)
-
-
-def _encoder_params(cfg: ModelConfig, rng, prefix: str, zero_residual: bool,
-                    p: dict) -> None:
-    sfc_in = cfg.surface_in + N_STATIC_FIELDS
-    atm_in = cfg.atmos_vars * cfg.level_patch
-    p[f"{prefix}.stem_sfc.w"] = _conv_w(rng, cfg.stem_channels, sfc_in, 3)
-    p[f"{prefix}.stem_sfc.b"] = _zeros(cfg.stem_channels)
-    p[f"{prefix}.stem_atm.w"] = _conv_w(rng, cfg.stem_channels, atm_in, 3)
-    p[f"{prefix}.stem_atm.b"] = _zeros(cfg.stem_channels)
-    c_in = cfg.stem_channels
-    for i, c_out in enumerate(cfg.stage_channels):
-        _stage_params(rng, f"{prefix}.stage{i}", c_in, c_out, p)
-        c_in = c_out
-    for i in range(cfg.enc_blocks):
-        p.update(init_block_params(rng, cfg.hidden, cfg.heads, f"{prefix}.blk{i}",
-                                   zero_residual=zero_residual))
+    if PRIMARY_SOURCE in extra_sources:
+        raise ConfigError("primary source already has the default encoder")
+    out = []
+    for source in (PRIMARY_SOURCE, *extra_sources):
+        out += encoder(encoder_prefix(source))
+    for h in cfg.horizons:
+        out += blocks(f"proc{h}", cfg.proc_blocks)
+    out += blocks("dec", cfg.dec_blocks)
+    chans = [cfg.hidden] + list(cfg.stage_channels[-2::-1]) + [cfg.stem_channels]
+    for i in range(DOWNSAMPLE_STAGES):
+        out += (_conv_layout(f"dec.stage{i}.up", chans[i + 1], chans[i], k=4,
+                             transposed=True)
+                + _res_layout(f"dec.stage{i}", chans[i + 1]))
+    head_scale = 0.0 if zero_residual else None
+    return (out + _conv_layout("dec.head_sfc", cfg.surface_out, cfg.stem_channels,
+                               scale=head_scale)
+            + _conv_layout("dec.head_atm", cfg.atmos_vars * cfg.level_patch,
+                           cfg.stem_channels, scale=head_scale))
 
 
 def init_model_params(cfg: ModelConfig, seed: int = 0, zero_residual: bool = True,
@@ -253,31 +257,8 @@ def init_model_params(cfg: ModelConfig, seed: int = 0, zero_residual: bool = Tru
     heads so the fresh model maps any input to zero fields; training then
     moves away from the climatological mean first.
     """
-    rng = np.random.default_rng(seed)
-    p: dict[str, Tensor] = {}
-    _encoder_params(cfg, rng, "enc", zero_residual, p)
-    for name in extra_sources:
-        if name == PRIMARY_SOURCE:
-            raise ConfigError("primary source already has the default encoder")
-        _encoder_params(cfg, rng, f"enc_op.{name}", zero_residual, p)
-    for h in cfg.horizons:
-        for i in range(cfg.proc_blocks):
-            p.update(init_block_params(rng, cfg.hidden, cfg.heads, f"proc{h}.blk{i}",
-                                       zero_residual=zero_residual))
-    for i in range(cfg.dec_blocks):
-        p.update(init_block_params(rng, cfg.hidden, cfg.heads, f"dec.blk{i}",
-                                   zero_residual=zero_residual))
-    chans = [cfg.hidden] + list(cfg.stage_channels[-2::-1]) + [cfg.stem_channels]
-    for i in range(DOWNSAMPLE_STAGES):
-        _upstage_params(rng, f"dec.stage{i}", chans[i], chans[i + 1], p)
-    head_scale = 0.0 if zero_residual else None
-    p["dec.head_sfc.w"] = _conv_w(rng, cfg.surface_out, cfg.stem_channels, 3,
-                                  scale=head_scale)
-    p["dec.head_sfc.b"] = _zeros(cfg.surface_out)
-    p["dec.head_atm.w"] = _conv_w(rng, cfg.atmos_vars * cfg.level_patch,
-                                  cfg.stem_channels, 3, scale=head_scale)
-    p["dec.head_atm.b"] = _zeros(cfg.atmos_vars * cfg.level_patch)
-    return p
+    return draw_params(np.random.default_rng(seed),
+                       model_layout(cfg, zero_residual, extra_sources))
 
 
 def encoder_prefix(source: str) -> str:
@@ -486,46 +467,12 @@ def shape_plan(cfg: ModelConfig) -> dict:
     g = cfg.grid
     h, w = g.rows, g.cols
     stages = []
-    c_in = cfg.stem_channels
     hh, ww = h, w
     for i, c in enumerate(cfg.stage_channels):
         hh, ww = hh // 2, ww // 2
         stages.append({"stage": i, "channels": c, "rows": hh, "cols": ww})
-        c_in = c
     ext = cfg.latent_extents
     n_blocks = cfg.enc_blocks + cfg.dec_blocks + len(cfg.horizons) * cfg.proc_blocks
-
-    # parameter element counts, by closed form
-    def conv_elems(co, ci, k):
-        return co * ci * k * k + co
-
-    def blk_elems(dim):
-        return (2 * dim + 2 * dim          # layer norms
-                + 4 * (dim * dim + dim)    # q, k, v, out
-                + dim * 4 * dim + 4 * dim  # mlp in
-                + 4 * dim * dim + dim)     # mlp out
-
-    def stage_elems(ci, co):
-        return conv_elems(co, ci, 3) + 4 * conv_elems(co, co, 3)
-
-    def upstage_elems(ci, co):
-        return (ci * co * 16 + co) + 4 * conv_elems(co, co, 3)
-
-    enc_elems = (conv_elems(cfg.stem_channels, cfg.surface_in + N_STATIC_FIELDS, 3)
-                 + conv_elems(cfg.stem_channels, cfg.atmos_vars * cfg.level_patch, 3))
-    ci = cfg.stem_channels
-    for c in cfg.stage_channels:
-        enc_elems += stage_elems(ci, c)
-        ci = c
-    enc_elems += cfg.enc_blocks * blk_elems(cfg.hidden)
-    proc_elems = len(cfg.horizons) * cfg.proc_blocks * blk_elems(cfg.hidden)
-    chans = [cfg.hidden] + list(cfg.stage_channels[-2::-1]) + [cfg.stem_channels]
-    dec_elems = cfg.dec_blocks * blk_elems(cfg.hidden)
-    for i in range(DOWNSAMPLE_STAGES):
-        dec_elems += upstage_elems(chans[i], chans[i + 1])
-    dec_elems += (conv_elems(cfg.surface_out, cfg.stem_channels, 3)
-                  + conv_elems(cfg.atmos_vars * cfg.level_patch, cfg.stem_channels, 3))
-
     return {
         "grid": (h, w),
         "surface_input": (cfg.surface_in + N_STATIC_FIELDS, h, w),
@@ -541,7 +488,7 @@ def shape_plan(cfg: ModelConfig) -> dict:
         "blocks_total": n_blocks,
         "surface_output": (cfg.surface_out, h, w),
         "atmos_output": (cfg.atmos_vars, cfg.levels, h, w),
-        "param_elements": enc_elems + proc_elems + dec_elems,
+        "param_elements": sum(math.prod(shape) for _, shape, _ in model_layout(cfg)),
     }
 
 

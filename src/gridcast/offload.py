@@ -273,8 +273,7 @@ class OffloadEngine:
     Pass it as checkpoint_segment's store (rollout's engine= argument does):
     each segment input is copied out to the host store in forward and
     fetched back ahead of need for the recompute in backward, with every
-    tensor metered by the arena.  run_segments(fns, z0) chains the segment
-    functions in order, each one a checkpoint segment kept in this store.
+    tensor metered by the arena.
     """
 
     def __init__(self, budget_bytes: int = 1 << 30, lookahead: int = 2,
@@ -289,12 +288,6 @@ class OffloadEngine:
         self.pipeline: PrefetchPipeline | None = None
         self.slots_written = 0
         self.backward_ran = False
-
-    def run_segments(self, fns, z0: ad.Tensor) -> ad.Tensor:
-        z = z0
-        for fn in fns:
-            z = ad.checkpoint_segment(fn, z, store=self)
-        return z
 
     # -- segment store (the protocol is autodiff.checkpoint_segment's) --------
 

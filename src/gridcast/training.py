@@ -35,6 +35,9 @@ from .synthdata import WeatherDataset
 STAGES = ("pretrain", "anneal", "1h", "operational")
 
 LR_MAX_DEFAULT = 3e-4
+LR_MIN = 0.0  # the cosine schedule's final learning rate
+N_DRAW = 3  # lead times per step: N_DRAW - 1 random picks plus the pool maximum
+CLIP_NORM = 1.0  # bound on the global gradient norm before each update
 
 # step threshold -> admissible lead times (hours); the pool only ever grows
 PRETRAIN_SCHEDULE = (
@@ -257,16 +260,16 @@ def clip_gradients(grads: dict, clip_norm: float) -> float:
 
 def train(params: dict, cfg: ModelConfig, ds: WeatherDataset, stage: str,
           steps: int, seed: int = 0, out_dir=None, lr_max: float = LR_MAX_DEFAULT,
-          lr_min: float = 0.0, n_draw: int = 3, checkpoint_every: int = 100,
-          clip_norm: float = 1.0):
+          checkpoint_every: int = 100):
     """Run one stage for a fixed number of steps; returns the step history.
 
     All randomness flows from the single seed. Each history row holds the
     step, lr, loss, lead times, pre-clip gradient norm and step wall time;
     with out_dir set, they are also written to train_log.csv next to the
-    parameter checkpoints. clip_norm bounds the global gradient norm before
-    each update; pass 0 to disable clipping. A non-finite loss or gradient
-    raises NumericsError before the update.
+    parameter checkpoints. The learning rate decays from lr_max to LR_MIN,
+    and gradients are clipped to a global norm of CLIP_NORM before each
+    update. A non-finite loss or gradient raises NumericsError before the
+    update.
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {STAGES}")
@@ -286,11 +289,11 @@ def train(params: dict, cfg: ModelConfig, ds: WeatherDataset, stage: str,
     sigmas = ds.plane_sigmas()
     history = []
     for i in range(steps):
-        lr = cosine_lr(i, steps, lr_max, lr_min)
+        lr = cosine_lr(i, steps, lr_max, LR_MIN)
         if stage == "1h":
             dts = sample_dts_hourly(rng)
         else:
-            dts = sample_dts(rng, admissible_dts(i, stage), n_draw)
+            dts = sample_dts(rng, admissible_dts(i, stage), N_DRAW)
         hi = int(ds.times[-1]) - max(dts)
         t0 = int(ds.times[0]) + int(rng.integers(0, hi - int(ds.times[0]) + 1))
         start = time.perf_counter()
@@ -299,7 +302,7 @@ def train(params: dict, cfg: ModelConfig, ds: WeatherDataset, stage: str,
         if not math.isfinite(loss_v):
             raise NumericsError(f"step {i}: loss is {loss_v}")
         grads = backward(loss, leaves=[params[n] for n in opt.trainable])
-        grad_norm = clip_gradients(grads, clip_norm)
+        grad_norm = clip_gradients(grads, CLIP_NORM)
         if not math.isfinite(grad_norm):
             bad = next((n for n in opt.trainable
                         if not np.isfinite(grads[params[n]]).all()), None)

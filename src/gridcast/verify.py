@@ -16,9 +16,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .grid import GridSpec, latitude_weights
-from .model import LatentState, init_model_params, process, tiny_config
+from .model import LatentState, init_model_params, tiny_config
 from .offload import OffloadEngine
-from .rollout import greedy_plan
+from .rollout import greedy_plan, rollout
 from .serialization import dump_params, load_params
 from .synthdata import dump_dataset, generate_dataset, load_dataset
 from .training import admissible_dts, cosine_lr, sample_dts
@@ -73,34 +73,24 @@ def check_roll_equivariance():
 def check_offload_parity():
     cfg = tiny_config()
     params = init_model_params(cfg, seed=0, zero_residual=False)
-    ext = (cfg.depth_planes, cfg.grid.rows // 8, cfg.grid.cols // 8)
-    n = ext[0] * ext[1] * ext[2]
     rng = np.random.default_rng(2)
-    z0v = rng.standard_normal((n, cfg.hidden))
+    z0v = rng.standard_normal((cfg.tokens, cfg.hidden))
 
-    def step(tokens):
-        return process(LatentState(tokens, 0, ext), params, cfg, 6).tokens
-
-    def run(engine):
+    def run(engine, steps):
         z0 = Tensor(z0v, requires_grad=True)
-        z = z0
-        for _ in range(3):
-            z = ad.checkpoint_segment(step, z, store=engine)
+        z = rollout(LatentState(z0, 0, cfg.latent_extents), (6,) * steps, params,
+                    cfg, engine=engine).tokens
         loss = (z * z).mean()
         g = backward(loss, leaves=[z0])
         return loss.values.tobytes(), g[z0].tobytes()
 
-    plain = run(None)
+    plain = run(None, 3)
     waters = []
-    for count in (1, 4):
+    for steps in (3, 4):
         eng = OffloadEngine(budget_bytes=1 << 26, lookahead=2)
         try:
-            if count == 4:
-                z0 = Tensor(z0v, requires_grad=True)
-                z = eng.run_segments([step] * count, z0)
-                backward((z * z).mean(), leaves=[z0])
-            else:
-                got = run(eng)
+            got = run(eng, steps)
+            if steps == 3:
                 assert got == plain, "offloaded gradients differ from plain"
             assert eng.demand_stalls == 0, f"{eng.demand_stalls} demand stalls"
             waters.append(eng.high_water)

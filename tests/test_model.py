@@ -1,11 +1,14 @@
 """Model: shapes, determinism, blending, config round trip, dry-run plan."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gridcast.autodiff as ad
 import gridcast.model as gm
+from gridcast.attention import init_block_params
 from gridcast.autodiff import Tensor, backward
 from gridcast.errors import ConfigError
 from gridcast.model import (
@@ -268,18 +271,145 @@ class TestShapePlan:
         assert plan["atmos_output"] == (5, 28, 720, 1440)
         # hundreds of millions of parameter elements, none allocated
         assert plan["param_elements"] > 2e8
+        assert plan["param_elements"] == 382_781_428
 
     def test_param_elements_match_actual_allocation(self):
-        cfg = tiny_config()
-        plan = shape_plan(cfg)
-        params = init_model_params(cfg, seed=0)
-        actual = sum(int(np.prod(t.shape)) for t in params.values())
-        assert plan["param_elements"] == actual
-
+        for cfg in (tiny_config(), desk_config()):
+            plan = shape_plan(cfg)
+            for extra in ((), ("op1", "op2")):
+                params = init_model_params(cfg, seed=0, extra_sources=extra)
+                sizes = {k: int(np.prod(t.shape)) for k, t in params.items()}
+                # every extra source adds one encoder the primary's size
+                enc = sum(n for k, n in sizes.items() if k.startswith("enc."))
+                assert plan["param_elements"] + len(extra) * enc == sum(sizes.values())
     def test_desk_plan(self):
         plan = shape_plan(desk_config())
         assert plan["latent_extents"] == (3, 5, 10)
         assert plan["tokens"] == 150
+        assert plan["param_elements"] == 620_658
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-module init helpers that model_layout and block_layout
+# replaced, kept here to pin every draw bitwise
+# ---------------------------------------------------------------------------
+
+def _oracle_block(rng, dim, prefix, zero_residual):
+    s = 1.0 / math.sqrt(dim)
+    hidden = 4 * dim
+
+    def w(shape, scale):
+        return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
+
+    def zeros(shape):
+        return Tensor(np.zeros(shape), requires_grad=True)
+
+    def ones(shape):
+        return Tensor(np.ones(shape), requires_grad=True)
+
+    out_scale = 0.0 if zero_residual else s
+    return {
+        f"{prefix}.ln1.gain": ones(dim), f"{prefix}.ln1.bias": zeros(dim),
+        f"{prefix}.attn.wq": w((dim, dim), s), f"{prefix}.attn.bq": zeros(dim),
+        f"{prefix}.attn.wk": w((dim, dim), s), f"{prefix}.attn.bk": zeros(dim),
+        f"{prefix}.attn.wv": w((dim, dim), s), f"{prefix}.attn.bv": zeros(dim),
+        f"{prefix}.attn.wo": w((dim, dim), out_scale), f"{prefix}.attn.bo": zeros(dim),
+        f"{prefix}.ln2.gain": ones(dim), f"{prefix}.ln2.bias": zeros(dim),
+        f"{prefix}.mlp.w1": w((dim, hidden), s), f"{prefix}.mlp.b1": zeros(hidden),
+        f"{prefix}.mlp.w2": w((hidden, dim), out_scale if zero_residual
+                              else 1.0 / math.sqrt(hidden)),
+        f"{prefix}.mlp.b2": zeros(dim),
+    }
+
+
+def _oracle_conv_w(rng, c_out, c_in, k, scale=None):
+    s = scale if scale is not None else 1.0 / math.sqrt(c_in * k * k)
+    return Tensor(rng.standard_normal((c_out, c_in, k, k)) * s, requires_grad=True)
+
+
+def _oracle_convt_w(rng, c_in, c_out, k):
+    s = 1.0 / math.sqrt(c_in * k * k)
+    return Tensor(rng.standard_normal((c_in, c_out, k, k)) * s, requires_grad=True)
+
+
+def _oracle_zeros(*shape):
+    return Tensor(np.zeros(shape), requires_grad=True)
+
+
+def _oracle_res(rng, prefix, c, p):
+    for j in range(2):
+        p[f"{prefix}.res{j}.conv1.w"] = _oracle_conv_w(rng, c, c, 3)
+        p[f"{prefix}.res{j}.conv1.b"] = _oracle_zeros(c)
+        p[f"{prefix}.res{j}.conv2.w"] = _oracle_conv_w(rng, c, c, 3)
+        p[f"{prefix}.res{j}.conv2.b"] = _oracle_zeros(c)
+
+
+def _oracle_encoder(cfg, rng, prefix, zero_residual, p):
+    sfc_in = cfg.surface_in + gm.N_STATIC_FIELDS
+    atm_in = cfg.atmos_vars * cfg.level_patch
+    p[f"{prefix}.stem_sfc.w"] = _oracle_conv_w(rng, cfg.stem_channels, sfc_in, 3)
+    p[f"{prefix}.stem_sfc.b"] = _oracle_zeros(cfg.stem_channels)
+    p[f"{prefix}.stem_atm.w"] = _oracle_conv_w(rng, cfg.stem_channels, atm_in, 3)
+    p[f"{prefix}.stem_atm.b"] = _oracle_zeros(cfg.stem_channels)
+    c_in = cfg.stem_channels
+    for i, c_out in enumerate(cfg.stage_channels):
+        p[f"{prefix}.stage{i}.down.w"] = _oracle_conv_w(rng, c_out, c_in, 3)
+        p[f"{prefix}.stage{i}.down.b"] = _oracle_zeros(c_out)
+        _oracle_res(rng, f"{prefix}.stage{i}", c_out, p)
+        c_in = c_out
+    for i in range(cfg.enc_blocks):
+        p.update(_oracle_block(rng, cfg.hidden, f"{prefix}.blk{i}", zero_residual))
+
+
+def _oracle_model(cfg, seed, zero_residual, extra_sources):
+    rng = np.random.default_rng(seed)
+    p = {}
+    _oracle_encoder(cfg, rng, "enc", zero_residual, p)
+    for name in extra_sources:
+        _oracle_encoder(cfg, rng, f"enc_op.{name}", zero_residual, p)
+    for h in cfg.horizons:
+        for i in range(cfg.proc_blocks):
+            p.update(_oracle_block(rng, cfg.hidden, f"proc{h}.blk{i}", zero_residual))
+    for i in range(cfg.dec_blocks):
+        p.update(_oracle_block(rng, cfg.hidden, f"dec.blk{i}", zero_residual))
+    chans = [cfg.hidden] + list(cfg.stage_channels[-2::-1]) + [cfg.stem_channels]
+    for i in range(3):
+        p[f"dec.stage{i}.up.w"] = _oracle_convt_w(rng, chans[i], chans[i + 1], 4)
+        p[f"dec.stage{i}.up.b"] = _oracle_zeros(chans[i + 1])
+        _oracle_res(rng, f"dec.stage{i}", chans[i + 1], p)
+    head_scale = 0.0 if zero_residual else None
+    n_atm = cfg.atmos_vars * cfg.level_patch
+    p["dec.head_sfc.w"] = _oracle_conv_w(rng, cfg.surface_out, cfg.stem_channels, 3,
+                                         scale=head_scale)
+    p["dec.head_sfc.b"] = _oracle_zeros(cfg.surface_out)
+    p["dec.head_atm.w"] = _oracle_conv_w(rng, n_atm, cfg.stem_channels, 3, scale=head_scale)
+    p["dec.head_atm.b"] = _oracle_zeros(n_atm)
+    return p
+
+
+def _assert_bitwise(got, want):
+    assert list(got) == list(want)  # names and order
+    for k in want:
+        g, w = got[k], want[k]
+        assert g.requires_grad and w.requires_grad, k
+        assert g.values.dtype == w.values.dtype and g.shape == w.shape, k
+        assert g.values.tobytes() == w.values.tobytes(), k
+
+
+@pytest.mark.parametrize("make_cfg", [tiny_config, desk_config])
+def test_init_bitwise_vs_per_module_helpers(make_cfg):
+    cfg = make_cfg()
+    for seed in (0, 1, 7):
+        for zero_residual in (True, False):
+            for extra in ((), ("op1", "op2")):
+                _assert_bitwise(
+                    init_model_params(cfg, seed, zero_residual, extra),
+                    _oracle_model(cfg, seed, zero_residual, extra))
+            _assert_bitwise(
+                init_block_params(np.random.default_rng(seed), cfg.hidden, cfg.heads,
+                                  "blk", zero_residual),
+                _oracle_block(np.random.default_rng(seed), cfg.hidden, "blk",
+                              zero_residual))
 
 
 class TestGradients:

@@ -247,19 +247,20 @@ def _chain_fns(params, n):
     return [make(params[i % len(params)]) for i in range(n)]
 
 
+def _run_chain(fns, z, store=None):
+    """The segment functions in order, each one a checkpoint segment."""
+    for fn in fns:
+        z = checkpoint_segment(fn, z, store=store)
+    return z
+
+
 class TestEngine:
     def _grads(self, n_segments, engine=None):
         rng = np.random.default_rng(99)
         p1 = Tensor(rng.standard_normal((8, 8)) * 0.3, requires_grad=True)
         p2 = Tensor(rng.standard_normal((8, 8)) * 0.3, requires_grad=True)
         z0 = Tensor(rng.standard_normal((4, 8)), requires_grad=True)
-        fns = _chain_fns([p1, p2], n_segments)
-        if engine is None:
-            z = z0
-            for fn in fns:
-                z = checkpoint_segment(fn, z)
-        else:
-            z = engine.run_segments(fns, z0)
+        z = _run_chain(_chain_fns([p1, p2], n_segments), z0, store=engine)
         loss = (z * z).mean()
         grads = backward(loss, leaves=[z0, p1, p2])
         return (loss.values.tobytes(),
@@ -306,19 +307,13 @@ class TestEngine:
         with pytest.raises(ConfigError):
             OffloadEngine(lookahead=0)
 
-    def test_empty_segment_list_is_identity(self):
-        eng = OffloadEngine()
-        z0 = Tensor(RNG.standard_normal(4))
-        assert eng.run_segments([], z0) is z0
-        eng.close()
-
     def test_forward_only_leaves_store_unconsumed(self):
         eng = OffloadEngine(budget_bytes=1 << 22)
         p = Tensor(RNG.standard_normal((4, 4)), requires_grad=True)
         z0 = Tensor(RNG.standard_normal((2, 4)))
         with ad.no_grad():
             pass  # engine runs its own no-grad internally
-        z = eng.run_segments(_chain_fns([p], 3), z0)
+        z = _run_chain(_chain_fns([p], 3), z0, store=eng)
         assert z.shape == (2, 4)
         assert not eng.backward_ran
         eng.close()
@@ -327,7 +322,7 @@ class TestEngine:
         eng = OffloadEngine(budget_bytes=1 << 22)
         p = Tensor(RNG.standard_normal((4, 4)), requires_grad=True)
         z0 = Tensor(RNG.standard_normal((2, 4)), requires_grad=True)
-        z = eng.run_segments(_chain_fns([p], 3), z0)
+        z = _run_chain(_chain_fns([p], 3), z0, store=eng)
         z2 = z.node.parents[0]
         z1 = z2.node.parents[0]
         assert z1.values is None and z2.values is None
@@ -346,7 +341,7 @@ class TestEngine:
 
         eng = OffloadEngine(budget_bytes=1 << 22, backend="mmap")
         try:
-            z = eng.run_segments([seg, seg], Tensor(RNG.standard_normal((2, 4))))
+            z = _run_chain([seg, seg], Tensor(RNG.standard_normal((2, 4))), store=eng)
             assert os.listdir(cwd) == [] and len(os.listdir(tmp)) == 1
             recompute.append(True)
             with pytest.raises(FloatingPointError):

@@ -38,6 +38,7 @@ from .model import (
     encode,
     init_model_params,
     load_config,
+    source_stream,
     tiny_config,
 )
 from .offload import OffloadEngine
@@ -171,18 +172,8 @@ def _cmd_forecast(args, argv) -> int:
         if s not in known:
             raise ConfigError(f"no encoder for source {s!r}; have {known}")
 
-    def ds_index(name: str) -> int:
-        # dataset stream 0 feeds the primary encoder, stream j feeds "opj"
-        if name == "primary":
-            return 0
-        j = int(name[2:]) if name.startswith("op") and name[2:].isdigit() else -1
-        if not 1 <= j < ds.n_sources:
-            raise ConfigError(f"source {name!r} has no dataset stream "
-                              f"(dataset carries {ds.n_sources})")
-        return j
-
     with ad.no_grad():
-        lats = [encode(ds.input_state(idx, ds_index(s)), params, cfg,
+        lats = [encode(ds.input_state(idx, source_stream(s)), params, cfg,
                        source=s) for s in sources]
         lat = lats[0] if len(lats) == 1 else blend_sources(lats, params, sources)
         plan = greedy_plan(args.dt, cfg.max_dt)
@@ -276,15 +267,13 @@ def _cmd_scorecard(args, argv) -> int:
     return 0
 
 
-def _bench_workload(n_segments: int, budget: int, lookahead: int,
-                    latency_us: float):
+def _bench_workload(n_segments: int, budget: int, lookahead: int):
     """One offloaded forward+backward over a rollout of six-hour processor steps."""
     cfg = tiny_config()
     params = init_model_params(cfg, seed=0, zero_residual=False)
     rng = np.random.default_rng(42)
     z0 = Tensor(rng.standard_normal((cfg.tokens, cfg.hidden)), requires_grad=True)
-    engine = OffloadEngine(budget_bytes=budget, lookahead=lookahead,
-                           latency_us=latency_us)
+    engine = OffloadEngine(budget_bytes=budget, lookahead=lookahead)
     try:
         t0 = time.time()
         z = rollout(LatentState(z0, 0, cfg.latent_extents), (6,) * n_segments,
@@ -309,8 +298,7 @@ def _cmd_bench_offload(args, argv) -> int:
                           "expected comma-separated integers")
     if not counts or any(c < 1 for c in counts):
         raise ConfigError("--segments needs positive integers")
-    rows = [_bench_workload(c, args.budget, args.lookahead, args.latency_us)
-            for c in counts]
+    rows = [_bench_workload(c, args.budget, args.lookahead) for c in counts]
     header = ["segments", "high_water_bytes", "demand_stalls",
               "blocked_waits", "wall_time_s"]
     if args.out:
@@ -322,8 +310,7 @@ def _cmd_bench_offload(args, argv) -> int:
             for r in rows:
                 w.writerow([r[k] for k in header])
         write_manifest(out, argv, {"budget": args.budget,
-                                   "lookahead": args.lookahead,
-                                   "latency_us": args.latency_us}, None,
+                                   "lookahead": args.lookahead}, None,
                        [out], time.time() - t0)
         print(f"wrote {out}")
     else:
@@ -398,13 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--b", required=True, help="baseline evaluation JSON")
     s.add_argument("--out")
 
-    b = sub.add_parser("bench-offload", help="measure the offload engine")
+    b = sub.add_parser(
+        "bench-offload", help="measure the offload engine",
+        description="One offloaded forward+backward per segment count over a "
+                    "tiny-config rollout of six-hour steps; reports arena high "
+                    "water, demand stalls, blocked waits and wall time.")
     b.add_argument("--segments", required=True,
                    help="comma-separated segment counts, e.g. 1,4,16")
-    b.add_argument("--budget", type=int, required=True)
-    b.add_argument("--lookahead", type=int, default=2)
-    b.add_argument("--latency-us", type=float, default=0.0)
-    b.add_argument("--out")
+    b.add_argument("--budget", type=int, required=True,
+                   help="arena budget in bytes")
+    b.add_argument("--lookahead", type=int, default=2,
+                   help="backward fetches kept in flight ahead of need")
+    b.add_argument("--out", help="CSV file to write (default: print the rows)")
 
     sub.add_parser("verify", help="run the built-in invariant checks")
     return p

@@ -15,6 +15,7 @@ plane for the surface branch plus one per folded level group.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "blend_latents",
     "blend_sources",
     "encoder_prefix",
+    "source_stream",
     "available_sources",
     "shape_plan",
     "save_config",
@@ -229,7 +231,7 @@ def model_layout(cfg: ModelConfig, zero_residual: bool = True,
                     + _res_layout(f"{prefix}.stage{i}", chans[i + 1]))
         return out + blocks(prefix, cfg.enc_blocks)
 
-    if PRIMARY_SOURCE in extra_sources:
+    if any(source_stream(s) == 0 for s in extra_sources):
         raise ConfigError("primary source already has the default encoder")
     out = []
     for source in (PRIMARY_SOURCE, *extra_sources):
@@ -265,16 +267,25 @@ def encoder_prefix(source: str) -> str:
     return "enc" if source == PRIMARY_SOURCE else f"enc_op.{source}"
 
 
+def source_stream(source: str) -> int:
+    """The dataset input stream a source's encoder reads: primary 0, "op<j>" j.
+
+    Any other name raises ConfigError.  Training, the CLI and the blend
+    logits all order sources by this number.
+    """
+    if source == PRIMARY_SOURCE:
+        return 0
+    if not re.fullmatch(r"op[1-9][0-9]*", source):
+        raise ConfigError(f"source {source!r} is neither {PRIMARY_SOURCE!r} "
+                          "nor op<j> with j >= 1")
+    return int(source[2:])
+
+
 def available_sources(params: dict) -> list[str]:
-    out = [PRIMARY_SOURCE] if "enc.stem_sfc.w" in params else []
-    seen = set()
-    for k in params:
-        if k.startswith("enc_op."):
-            name = k.split(".")[1]
-            if name not in seen:
-                seen.add(name)
-                out.append(name)
-    return out
+    """The model's encoders: primary first, then the extras by stream number."""
+    extras = {k.split(".")[1] for k in params if k.startswith("enc_op.")}
+    primary = [PRIMARY_SOURCE] if "enc.stem_sfc.w" in params else []
+    return primary + sorted(extras, key=source_stream)
 
 
 # ---------------------------------------------------------------------------

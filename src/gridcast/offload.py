@@ -5,11 +5,12 @@ segment input in a store.  Its default store pins the input on the tape;
 OffloadEngine is the other store, and the one this module provides.  Under
 no_grad checkpoint_segment records no segment, so the engine stores nothing.
 
-Forward: each segment's input latent is copied out to a host store by a
-background transfer thread, and its device-side buffer is dropped once the
-segment has consumed it.  Backward: fetches are issued ahead of need by a
-fixed lookahead so the transfer latency overlaps recompute, and the store is
-consumed strictly in reverse segment order.
+Forward: each segment's input latent is copied to an in-RAM host store by
+a one-thread concurrent.futures executor, and its device-side buffer is
+dropped once the segment has consumed it and the copy has landed.
+Backward: fetches are issued ahead of need by a fixed lookahead so the
+transfers overlap recompute, and the store is consumed strictly in reverse
+segment order.
 
 An ActivationArena meters device residency in bytes.  With one live segment
 at a time, the arena high-water mark depends only on the segment working
@@ -20,12 +21,7 @@ bytes and recomputation replays identical operations.
 
 from __future__ import annotations
 
-import os
-import queue
-import shutil
-import tempfile
-import threading
-import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
@@ -93,47 +89,26 @@ class ActivationArena:
 
 
 class HostStore:
-    """Write-once, consume-once slot store for offloaded activations.
+    """Write-once, consume-once slot store for offloaded activations, in host RAM.
 
     Slots are indexed 0..n-1, written in increasing order during forward and
     consumed in strictly decreasing order during backward, mirroring how a
-    reversed tape walks its segments.  Backend 'ram' keeps byte copies in
-    memory; 'mmap' stages them through a file and reads them back via
-    memory mapping.  The file lives in a private temporary directory (made
-    inside workdir when given, else in the system temp location) that
-    close() removes.
+    reversed tape walks its segments.  Each slot holds its own copy of the
+    array it was given.
     """
 
-    def __init__(self, backend: str = "ram", workdir: str | None = None):
-        self._file = None
-        self._dir = None
-        self._path = None
-        if backend not in ("ram", "mmap"):
-            raise ConfigError(f"unknown host store backend {backend!r}")
-        self.backend = backend
-        self._slots: dict[int, tuple] = {}
+    def __init__(self):
+        self._slots: dict[int, np.ndarray] = {}
         self._written: set[int] = set()
         self._consumed_floor: int | None = None
-        if backend == "mmap":
-            self._dir = tempfile.mkdtemp(prefix="gridcast-offload-", dir=workdir)
-            self._path = os.path.join(self._dir, "slots.bin")
-            self._file = open(self._path, "w+b")
         self.bytes_written = 0
-        self.bytes_read = 0
 
     def put(self, slot: int, arr: np.ndarray) -> None:
         if slot in self._written:
             raise StoreError(f"slot {slot} already written")
         self._written.add(slot)
-        data = arr.tobytes()
-        self.bytes_written += len(data)
-        if self.backend == "ram":
-            self._slots[slot] = (data, arr.dtype.str, arr.shape)
-        else:
-            off = self._file.seek(0, os.SEEK_END)
-            self._file.write(data)
-            self._file.flush()
-            self._slots[slot] = (off, len(data), arr.dtype.str, arr.shape)
+        self._slots[slot] = arr.copy()
+        self.bytes_written += arr.nbytes
 
     def get(self, slot: int) -> np.ndarray:
         if slot not in self._written:
@@ -144,89 +119,39 @@ class HostStore:
             raise StoreError(
                 f"slot {slot} consumed out of order; slots must be taken in "
                 f"decreasing order (last was {self._consumed_floor})")
-        rec = self._slots.pop(slot)
         self._consumed_floor = slot
-        if self.backend == "ram":
-            data, dt, shape = rec
-            out = np.frombuffer(data, dtype=dt).reshape(shape).copy()
-        else:
-            off, n, dt, shape = rec
-            mm = np.memmap(self._path, dtype=np.uint8, mode="r", offset=off, shape=(n,))
-            out = np.frombuffer(mm.tobytes(), dtype=dt).reshape(shape).copy()
-            del mm
-        self.bytes_read += out.nbytes
-        return out
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-            shutil.rmtree(self._dir, ignore_errors=True)
-
-    def __del__(self):
-        self.close()
+        return self._slots.pop(slot)
 
 
 class TransferWorker:
-    """Single background thread draining a FIFO of store writes and reads.
+    """One background thread running the store's writes and reads in submit order.
 
-    latency_us of sleep is charged per transfer before it executes, standing
-    in for interconnect time.  Completion is signaled through a per-request
-    Event; results of fetches are parked on the request.
+    Each submit returns a concurrent.futures.Future: result() waits for the
+    transfer and re-raises its error.  The thread starts on the first submit
+    and shutdown() joins it.
     """
 
-    def __init__(self, store: HostStore, latency_us: float = 0.0):
+    def __init__(self, store: HostStore):
         self.store = store
-        self.latency_us = float(latency_us)
-        self._q: queue.Queue = queue.Queue()
         self.transfers = 0
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
+        self._pool = ThreadPoolExecutor(max_workers=1,
+                                        thread_name_prefix="gridcast-offload")
 
-    def _run(self):
-        while True:
-            req = self._q.get()
-            if req is None:
-                return
-            kind, slot, payload, done = req
-            if self.latency_us > 0:
-                time.sleep(self.latency_us * 1e-6)
-            try:
-                if kind == "put":
-                    self.store.put(slot, payload)
-                    done.result = None
-                else:
-                    done.result = self.store.get(slot)
-            except BaseException as e:  # surfaced on wait()
-                done.error = e
+    def _count(self, transfer, *args):
+        try:
+            return transfer(*args)
+        finally:
             self.transfers += 1
-            done.set()
 
-    def submit_put(self, slot: int, arr: np.ndarray) -> "threading.Event":
-        done = threading.Event()
-        done.result = None
-        done.error = None
+    def submit_put(self, slot: int, arr: np.ndarray) -> Future:
         # snapshot now: the caller is free to drop its buffer immediately
-        self._q.put(("put", slot, arr.copy(), done))
-        return done
+        return self._pool.submit(self._count, self.store.put, slot, arr.copy())
 
-    def submit_get(self, slot: int) -> "threading.Event":
-        done = threading.Event()
-        done.result = None
-        done.error = None
-        self._q.put(("get", slot, None, done))
-        return done
+    def submit_get(self, slot: int) -> Future:
+        return self._pool.submit(self._count, self.store.get, slot)
 
-    @staticmethod
-    def wait(done: "threading.Event"):
-        done.wait()
-        if done.error is not None:
-            raise done.error
-        return done.result
-
-    def shutdown(self):
-        self._q.put(None)
-        self._thread.join(timeout=10)
+    def shutdown(self) -> None:
+        self._pool.shutdown()
 
 
 class PrefetchPipeline:
@@ -245,7 +170,7 @@ class PrefetchPipeline:
         self.worker = worker
         self.n = int(n_segments)
         self.lookahead = int(lookahead)
-        self._pending: dict[int, threading.Event] = {}
+        self._pending: dict[int, Future] = {}
         self._next_to_issue = self.n - 1
         self.demand_stalls = 0
         self.blocked_waits = 0
@@ -258,13 +183,13 @@ class PrefetchPipeline:
             self._next_to_issue -= 1
 
     def take(self, k: int) -> np.ndarray:
-        ev = self._pending.pop(k, None)
-        if ev is None:
+        fetch = self._pending.pop(k, None)
+        if fetch is None:
             self.demand_stalls += 1
-            ev = self.worker.submit_get(k)
-        if not ev.is_set():
+            fetch = self.worker.submit_get(k)
+        if not fetch.done():
             self.blocked_waits += 1
-        return TransferWorker.wait(ev)
+        return fetch.result()
 
 
 class OffloadEngine:
@@ -276,14 +201,12 @@ class OffloadEngine:
     tensor metered by the arena.
     """
 
-    def __init__(self, budget_bytes: int = 1 << 30, lookahead: int = 2,
-                 latency_us: float = 0.0, backend: str = "ram",
-                 workdir: str | None = None):
+    def __init__(self, budget_bytes: int = 1 << 30, lookahead: int = 2):
         if lookahead < 1:
             raise ConfigError(f"prefetch lookahead must be >= 1, got {lookahead}")
         self.arena = ActivationArena(budget_bytes)
-        self.store = HostStore(backend, workdir)
-        self.worker = TransferWorker(self.store, latency_us)
+        self.store = HostStore()
+        self.worker = TransferWorker(self.store)
         self.lookahead = lookahead
         self.pipeline: PrefetchPipeline | None = None
         self.slots_written = 0
@@ -299,7 +222,7 @@ class OffloadEngine:
         try:
             y = self._metered(forward, x.values)
             # the input leaves the device once its host copy is durable
-            TransferWorker.wait(write)
+            write.result()
         finally:
             self.arena.release(token)
         if slot > 0:
@@ -355,4 +278,3 @@ class OffloadEngine:
 
     def close(self):
         self.worker.shutdown()
-        self.store.close()

@@ -80,10 +80,9 @@ def rollout(lat: LatentState, plan, params: dict, cfg: ModelConfig,
 
 
 def forecast(state: WeatherState, dt: int, params: dict, cfg: ModelConfig,
-             source: str = PRIMARY_SOURCE,
-             engine: OffloadEngine | None = None) -> DecodedFields:
+             source: str = PRIMARY_SOURCE) -> DecodedFields:
     """encode -> greedy latent rollout -> decode."""
     plan = greedy_plan(dt, cfg.max_dt)
     lat = encode(state, params, cfg, source=source)
-    lat = rollout(lat, plan, params, cfg, engine=engine)
+    lat = rollout(lat, plan, params, cfg)
     return decode(lat, params, cfg)

@@ -127,6 +127,9 @@ class WeatherDataset:
         return i
 
     def input_state(self, idx: int, source: int = 0) -> WeatherState:
+        if not 0 <= source < self.n_sources:
+            raise DataError(f"input stream {source} out of range: the dataset "
+                            f"carries {self.n_sources} stream(s)")
         h, w = self.grid.rows, self.grid.cols
         arr = self.sources[source][idx].astype(np.float64)
         sfc = arr[:self.surface_in]

@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 
+from .attention import draw_params
 from .autodiff import Tensor, backward
 from .errors import ConfigError, DataError, NumericsError
 from .model import (
@@ -26,8 +27,9 @@ from .model import (
     blend_sources,
     decode,
     encode,
-    init_model_params,
+    model_layout,
     process,
+    source_stream,
 )
 from .serialization import save_params_file
 from .synthdata import WeatherDataset
@@ -161,15 +163,23 @@ def trainable_names(params: dict, stage: str) -> tuple:
 
 
 def add_source_encoders(params: dict, cfg: ModelConfig, names, seed: int = 0) -> None:
-    """Graft fresh encoders for extra input sources plus uniform blend logits."""
+    """Graft fresh encoders for extra input sources plus uniform blend logits.
+
+    The encoders hold the values init_model_params(cfg, seed,
+    extra_sources=names) gives them; only the layout up to the last extra
+    encoder is drawn.  The logits cover every encoder the model then has.
+    """
     names = tuple(names)
     if not names:
         raise ConfigError("no source names given")
-    fresh = init_model_params(cfg, seed=seed, extra_sources=names)
+    layout = model_layout(cfg, extra_sources=names)
+    last = max(i for i, (k, _, _) in enumerate(layout) if k.startswith("enc_op."))
+    fresh = draw_params(np.random.default_rng(seed), layout[:last + 1])
     for k, v in fresh.items():
         if k.startswith("enc_op."):
             params[k] = v
-    params["blend.logits"] = Tensor(np.zeros(len(names) + 1), requires_grad=True)
+    params["blend.logits"] = Tensor(np.zeros(len(available_sources(params))),
+                                    requires_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +209,11 @@ def _initial_latent(params, cfg, ds, idx, stage):
     sources = available_sources(params)
     if len(sources) < 2:
         raise ConfigError("operational stage needs at least two encoders")
-    if ds.n_sources < len(sources):
-        raise ConfigError(
-            f"{len(sources)} encoders but dataset has {ds.n_sources} sources")
-    lats = [encode(ds.input_state(idx, source=j), params, cfg, source=name)
-            for j, name in enumerate(sources)]
+    if ds.n_sources <= source_stream(sources[-1]):
+        raise ConfigError(f"source {sources[-1]!r} has no dataset stream "
+                          f"(dataset carries {ds.n_sources})")
+    lats = [encode(ds.input_state(idx, source=source_stream(name)), params, cfg,
+                   source=name) for name in sources]
     return blend_sources(lats, params, sources)
 
 

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from gridcast import autodiff as ad
+from gridcast import training
 from gridcast.cli import main
-from gridcast.model import (blend_sources, config_from_dict, decode, encode,
-                            init_model_params, load_config, save_config,
-                            tiny_config)
+from gridcast.model import (available_sources, blend_sources, config_from_dict,
+                            decode, encode, init_model_params, load_config,
+                            save_config, tiny_config)
 from gridcast.rollout import greedy_plan, rollout
-from gridcast.serialization import load_params_file, save_params_file
+from gridcast.serialization import (dump_params, load_params, load_params_file,
+                                    save_params_file)
 from gridcast.synthdata import load_dataset_file
 from gridcast.training import add_source_encoders
 
@@ -227,11 +229,62 @@ class TestBlendedForecast:
         assert versions["OMP_NUM_THREADS"] is None
 
 
+class TestTenExtraSources:
+    """op10 sorts after op9 and reads dataset stream 10 in training and forecast."""
+
+    STREAMS = {"primary": 0, **{f"op{j}": j for j in range(1, 11)}}
+
+    @pytest.fixture()
+    def model(self, tmp_path, spec_file):
+        data = str(tmp_path / "eleven.wmd3")
+        assert main(["gen-data", "--spec", spec_file, "--hours", "1",
+                     "--seed", "3", "--sources", "11", "--out", data]) == 0
+        cfg = tiny_config()
+        params = init_model_params(cfg, seed=4)
+        add_source_encoders(params, cfg, list(self.STREAMS)[1:], seed=4)
+        params["blend.logits"] = ad.Tensor(np.linspace(-1.0, 1.0, 11))
+        path = str(tmp_path / "eleven.lmtw")
+        save_params_file(path, {k: v.values for k, v in params.items()})
+        return cfg, params, path, data
+
+    def blend(self, params, cfg, ds):
+        sources = available_sources(params)
+        with ad.no_grad():
+            lats = [encode(ds.input_state(0, self.STREAMS[s]), params, cfg, source=s)
+                    for s in sources]
+            return blend_sources(lats, params, sources).tokens.values.tobytes()
+
+    def test_blend_survives_a_round_trip(self, model):
+        cfg, params, _, data = model
+        blob = dump_params({k: v.values for k, v in params.items()})
+        loaded = {k: ad.Tensor(v) for k, v in load_params(blob).items()}
+        assert available_sources(loaded) == available_sources(params) == list(self.STREAMS)
+        ds = load_dataset_file(data)
+        assert self.blend(loaded, cfg, ds) == self.blend(params, cfg, ds)
+
+    def test_training_and_forecast_read_stream_ten(self, tmp_path, spec_file, model):
+        cfg, params, path, data = model
+        ds = load_dataset_file(data)
+        loaded = {k: ad.Tensor(v) for k, v in load_params_file(path).items()}
+        with ad.no_grad():
+            lat = training._initial_latent(loaded, cfg, ds, 0, "operational")
+        assert lat.tokens.values.tobytes() == self.blend(params, cfg, ds)
+
+        out = str(tmp_path / "fc.lmtw")
+        assert main(["forecast", "--config", spec_file, "--params", path,
+                     "--init", data, "--init-hour", "0", "--dt", "0",
+                     "--source", "op10", "--out", out]) == 0
+        with ad.no_grad():
+            want = decode(encode(ds.input_state(0, 10), params, cfg, source="op10"),
+                          params, cfg)
+        assert load_params_file(out)["surface"].tobytes() == want.surface.values.tobytes()
+
+
 class TestBenchOffload:
     def test_csv_rows(self, tmp_path):
         out = str(tmp_path / "bench.csv")
         rc = main(["bench-offload", "--segments", "1,2", "--budget",
-                   str(1 << 26), "--lookahead", "2", "--latency-us", "0",
+                   str(1 << 26), "--lookahead", "2",
                    "--out", out])
         assert rc == 0
         with open(out) as f:

@@ -26,6 +26,7 @@ from gridcast.model import (
     process,
     save_config,
     shape_plan,
+    source_stream,
     tiny_config,
 )
 
@@ -257,6 +258,28 @@ class TestBlend:
         grads = backward(loss, leaves=[w])
         assert grads[w].shape == (2,)
         assert np.abs(grads[w]).max() > 0
+
+
+class TestSourceStreams:
+    def test_primary_and_numbered_sources(self):
+        assert source_stream("primary") == 0
+        assert source_stream("op1") == 1
+        assert source_stream("op10") == 10
+
+    @pytest.mark.parametrize("name", ["op0", "op01", "op", "op1x", "gfs", "OP1"])
+    def test_other_names_rejected(self, name):
+        with pytest.raises(ConfigError):
+            source_stream(name)
+
+    def test_layout_rejects_unnumbered_extra_source(self):
+        with pytest.raises(ConfigError):
+            gm.model_layout(tiny_config(), extra_sources=("gfs",))
+
+    def test_available_sources_by_stream_number(self):
+        params = dict.fromkeys(["enc.stem_sfc.w", "enc_op.op10.stem_sfc.w",
+                                "enc_op.op2.stem_sfc.w", "enc_op.op2.stem_sfc.b",
+                                "enc_op.op1.stem_sfc.w"])
+        assert gm.available_sources(params) == ["primary", "op1", "op2", "op10"]
 
 
 class TestShapePlan:

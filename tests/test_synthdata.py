@@ -186,6 +186,12 @@ class TestExtraction:
         lat = encode(st, params, cfg)
         assert lat.valid_time == 1
 
+    @pytest.mark.parametrize("source", [-1, 2, 3])
+    def test_input_state_rejects_unknown_stream(self, source):
+        ds = small_ds(hours=1, n_sources=2)
+        with pytest.raises(DataError, match="carries 2 stream"):
+            ds.input_state(0, source)
+
     def test_truth_fields_shapes(self):
         ds = small_ds()
         sfc, atm = ds.truth_fields(2)

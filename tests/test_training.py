@@ -12,7 +12,7 @@ import gridcast.model as gm
 import gridcast.training as training
 from gridcast.autodiff import Tensor, backward
 from gridcast.errors import ConfigError, DataError, NumericsError
-from gridcast.model import DecodedFields, init_model_params, tiny_config
+from gridcast.model import DecodedFields, desk_config, init_model_params, tiny_config
 from gridcast.serialization import load_params_file
 from gridcast.synthdata import generate_dataset
 from gridcast.training import (
@@ -278,6 +278,36 @@ class TestTrainDriver:
         w = np.exp(params["blend.logits"].values)
         w = w / w.sum()
         assert np.all(w >= 0) and abs(w.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("names", [("op1",), ("op1", "op2")])
+    @pytest.mark.parametrize("make_cfg", [tiny_config, desk_config])
+    def test_source_encoders_match_the_full_draw(self, make_cfg, names, monkeypatch):
+        cfg = make_cfg()
+        params = init_model_params(cfg, seed=0)
+        drawn = []
+        draw = training.draw_params
+
+        def recording_draw(rng, layout):
+            drawn.extend(name for name, _, _ in layout)
+            return draw(rng, layout)
+        monkeypatch.setattr(training, "draw_params", recording_draw)
+        add_source_encoders(params, cfg, names, seed=3)
+        # the oracle: every parameter of the model drawn, extras kept
+        full = init_model_params(cfg, seed=3, extra_sources=names)
+        extras = {k: v for k, v in full.items() if k.startswith("enc_op.")}
+        assert sorted(k for k in params if k.startswith("enc_op.")) == sorted(extras)
+        for k, v in extras.items():
+            assert params[k].values.tobytes() == v.values.tobytes(), k
+        assert drawn[-1].startswith(f"enc_op.{names[-1]}.")
+        assert not any(k.startswith(("proc", "dec.")) for k in drawn)
+        assert params["blend.logits"].shape == (len(names) + 1,)
+
+    def test_blend_logits_cover_earlier_sources(self, tiny):
+        cfg, _ = tiny
+        params = init_model_params(cfg, seed=0)
+        add_source_encoders(params, cfg, ["op1"], seed=1)
+        add_source_encoders(params, cfg, ["op2"], seed=1)
+        assert params["blend.logits"].shape == (3,)
 
     def test_operational_requires_sources(self, tiny):
         cfg, ds = tiny  # single-source dataset

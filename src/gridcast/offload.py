@@ -144,8 +144,8 @@ class TransferWorker:
             self.transfers += 1
 
     def submit_put(self, slot: int, arr: np.ndarray) -> Future:
-        # snapshot now: the caller is free to drop its buffer immediately
-        return self._pool.submit(self._count, self.store.put, slot, arr.copy())
+        # no snapshot: the Future holds arr, and Tensor values are immutable
+        return self._pool.submit(self._count, self.store.put, slot, arr)
 
     def submit_get(self, slot: int) -> Future:
         return self._pool.submit(self._count, self.store.get, slot)

@@ -1,4 +1,4 @@
-"""Binary parameter container.
+"""Binary parameter container, and the file I/O both containers share.
 
 Layout, all little-endian:
     magic    4 bytes  b"LMTW"
@@ -17,6 +17,8 @@ produced.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -29,51 +31,68 @@ class ContainerError(ValueError):
     """Malformed or truncated parameter container."""
 
 
-def dump_params(params: dict[str, np.ndarray]) -> bytes:
-    out = [MAGIC, struct.pack("<II", VERSION, len(params))]
+def read_file(path) -> np.ndarray:
+    """The whole file in one private uint8 buffer, filled by one readinto. A
+    shared mapping would raise SIGBUS if another process truncated the file."""
+    with open(path, "rb") as f:
+        buf = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
+        if f.readinto(buf) != buf.size:
+            raise OSError(f"short read of {path}: the file holds fewer than {buf.size} bytes")
+    return buf
+
+
+def _param_parts(params: dict[str, np.ndarray]):
+    yield MAGIC + struct.pack("<II", VERSION, len(params))
     for name in sorted(params):
         # np.ascontiguousarray promotes rank 0 to rank 1; np.array does not
-        arr = np.array(params[name], dtype=np.float64, order="C", copy=None)
+        arr = np.array(params[name], dtype="<f8", order="C", copy=None)
         nb = name.encode("utf-8")
-        out.append(struct.pack("<I", len(nb)))
-        out.append(nb)
-        out.append(struct.pack("<I", arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-        out.append(arr.tobytes())
-    return b"".join(out)
+        yield struct.pack(f"<I{len(nb)}sI{arr.ndim}Q", len(nb), nb, arr.ndim, *arr.shape)
+        yield arr
 
 
-def _need(buf: bytes, off: int, n: int, what: str) -> int:
+def dump_params(params: dict[str, np.ndarray]) -> bytes:
+    return b"".join(_param_parts(params))
+
+
+def _need(buf, off: int, n: int, what: str) -> int:
     if off + n > len(buf):
         raise ContainerError(f"truncated container: expected {n} bytes for {what} at offset {off}")
     return off + n
 
 
-def load_params(buf: bytes) -> dict[str, np.ndarray]:
-    off = _need(buf, 0, 4, "magic")
-    if buf[:4] != MAGIC:
-        raise ContainerError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}")
-    off2 = _need(buf, off, 8, "header")
-    version, count = struct.unpack_from("<II", buf, off)
-    off = off2
+def _take(buf, off: int, fmt: str, what: str):
+    end = _need(buf, off, struct.calcsize(fmt), what)
+    return struct.unpack_from(fmt, buf, off), end
+
+
+def load_params(buf) -> dict[str, np.ndarray]:
+    """Parse an LMTW buffer; the arrays are read-only views of buf."""
+    buf = np.frombuffer(buf, dtype=np.uint8)
+    buf.flags.writeable = False
+    (magic, version, count), off = _take(buf, 0, "<4sII", "header")
+    if magic != MAGIC:
+        raise ContainerError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}")
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        off2 = _need(buf, off, 4, "name length")
-        (nlen,) = struct.unpack_from("<I", buf, off)
-        off = _need(buf, off2, nlen, "name")
-        name = buf[off2:off].decode("utf-8")
-        off2 = _need(buf, off, 4, "rank")
-        (rank,) = struct.unpack_from("<I", buf, off)
-        off = _need(buf, off2, 8 * rank, "extents")
-        shape = struct.unpack_from(f"<{rank}Q", buf, off2) if rank else ()
-        n = 1
-        for e in shape:
-            n *= e
-        off2 = _need(buf, off, 8 * n, f"values of {name!r}")
-        params[name] = np.frombuffer(buf, dtype="<f8", count=n, offset=off).reshape(shape).copy()
-        off = off2
+        (nlen,), off = _take(buf, off, "<I", "name length")
+        (name,), off = _take(buf, off, f"{nlen}s", "name")
+        try:
+            name = name.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ContainerError(f"parameter name at offset {off - nlen} is not UTF-8: {e}") from e
+        if params and name <= next(reversed(params)):
+            raise ContainerError(f"parameter names not strictly sorted at {name!r}")
+        (rank,), off = _take(buf, off, "<I", "rank")
+        shape, off = _take(buf, off, f"<{rank}Q", "extents")
+        end = _need(buf, off, 8 * math.prod(shape), f"values of {name!r}")
+        try:
+            params[name] = buf[off:end].view("<f8").reshape(shape)
+        except ValueError as e:  # zero-size but with an extent numpy cannot hold
+            raise ContainerError(f"extents {shape} of {name!r}: {e}") from e
+        off = end
     if off != len(buf):
         raise ContainerError(f"{len(buf) - off} trailing bytes after last parameter")
     return params
@@ -81,9 +100,8 @@ def load_params(buf: bytes) -> dict[str, np.ndarray]:
 
 def save_params_file(path, params: dict[str, np.ndarray]) -> None:
     with open(path, "wb") as f:
-        f.write(dump_params(params))
+        f.writelines(_param_parts(params))
 
 
 def load_params_file(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
-        return load_params(f.read())
+    return load_params(read_file(path))

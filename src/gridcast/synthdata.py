@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .grid import GridSpec
 from .model import WeatherState
+from .serialization import read_file
 
 MAGIC = b"WMD3"
 VERSION = 1
@@ -104,6 +105,8 @@ class WeatherDataset:
         n_in = self.surface_in + self.atmos_vars * self.levels
         if self.times.dtype != np.int64:
             raise DataError("time axis must be int64 hours")
+        if not (self.times[1:] > self.times[:-1]).all():
+            raise DataError("time axis must be strictly increasing")
         if self.truth.shape != (t, n_truth, h, w) or self.truth.dtype != np.float32:
             raise DataError(f"truth block must be float32 {(t, n_truth, h, w)}")
         if not self.sources:
@@ -130,19 +133,17 @@ class WeatherDataset:
         if not 0 <= source < self.n_sources:
             raise DataError(f"input stream {source} out of range: the dataset "
                             f"carries {self.n_sources} stream(s)")
-        h, w = self.grid.rows, self.grid.cols
-        arr = self.sources[source][idx].astype(np.float64)
-        sfc = arr[:self.surface_in]
-        atm = arr[self.surface_in:].reshape(self.atmos_vars, self.levels, h, w)
-        return WeatherState(int(self.times[idx]), sfc, atm)
+        return WeatherState(int(self.times[idx]),
+                            *self._fields(self.sources[source][idx], self.surface_in))
 
     def truth_fields(self, idx: int):
         """Target planes at one time: (surface (S,H,W), atmos (A,L,H,W))."""
-        h, w = self.grid.rows, self.grid.cols
-        arr = self.truth[idx].astype(np.float64)
-        sfc = arr[:self.surface_out]
-        atm = arr[self.surface_out:].reshape(self.atmos_vars, self.levels, h, w)
-        return sfc, atm
+        return self._fields(self.truth[idx], self.surface_out)
+
+    def _fields(self, planes: np.ndarray, n_sfc: int):
+        """One time's planes as float64 copies: (surface, atmos (A,L,H,W))."""
+        arr = planes.astype(np.float64)
+        return arr[:n_sfc], arr[n_sfc:].reshape(self.atmos_vars, self.levels, *arr.shape[1:])
 
     def plane_sigmas(self) -> np.ndarray:
         """Per-truth-plane standard deviation over all times; floored away from 0."""
@@ -211,51 +212,41 @@ def generate_dataset(grid: GridSpec, surface_in: int, surface_out: int,
 # | per time: truth planes f32, then each source's planes f32. All little
 # endian, fields channel-major.
 
-def dump_dataset(ds: WeatherDataset) -> bytes:
+_HEADER = struct.Struct("<4sI6dB6I")
+
+
+def _dataset_parts(ds: WeatherDataset):
     g = ds.grid
-    parts = [MAGIC, struct.pack("<I", VERSION)]
-    parts.append(struct.pack("<6d", float(g.rows), float(g.cols), g.north_lat,
-                             g.lat_step, g.lon_step, g.planet_radius_km))
     flags = _FLAG_SOUTH_POLE_OMITTED if g.south_pole_omitted else 0
-    parts.append(struct.pack("<B", flags))
-    parts.append(struct.pack("<6I", ds.surface_in, ds.surface_out,
-                             ds.atmos_vars, ds.levels, ds.n_sources,
-                             ds.n_times))
-    parts.append(ds.times.astype("<i8").tobytes())
+    yield _HEADER.pack(MAGIC, VERSION, float(g.rows), float(g.cols), g.north_lat,
+                       g.lat_step, g.lon_step, g.planet_radius_km, flags, ds.surface_in,
+                       ds.surface_out, ds.atmos_vars, ds.levels, ds.n_sources, ds.n_times)
+    yield np.ascontiguousarray(ds.times, dtype="<i8")
     for t in range(ds.n_times):
-        parts.append(np.ascontiguousarray(ds.truth[t]).astype("<f4").tobytes())
+        yield np.ascontiguousarray(ds.truth[t], dtype="<f4")
         for src in ds.sources:
-            parts.append(np.ascontiguousarray(src[t]).astype("<f4").tobytes())
-    return b"".join(parts)
+            yield np.ascontiguousarray(src[t], dtype="<f4")
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def need(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise DataError("dataset file truncated")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
+def dump_dataset(ds: WeatherDataset) -> bytes:
+    return b"".join(_dataset_parts(ds))
 
 
-def load_dataset(blob: bytes) -> WeatherDataset:
-    """Parse a WMD3 blob; any malformed or non-finite content raises DataError."""
-    r = _Reader(blob)
-    if r.need(4) != MAGIC:
+def load_dataset(buf) -> WeatherDataset:
+    """Parse a WMD3 buffer into read-only views of it: truth and sources share one
+    (time, plane, row, col) array. Malformed or non-finite content raises DataError."""
+    buf = np.frombuffer(buf, dtype=np.uint8)
+    if buf.size < _HEADER.size:
+        raise DataError("dataset file truncated")
+    (magic, version, rows_f, cols_f, north, lat_step, lon_step, radius, flags,
+     s_in, s_out, a_vars, levels, n_sources, n_times) = _HEADER.unpack_from(buf)
+    if magic != MAGIC:
         raise DataError("not a WMD3 dataset (bad magic)")
-    (version,) = struct.unpack("<I", r.need(4))
     if version != VERSION:
         raise DataError(f"unsupported WMD3 version {version}")
-    rows_f, cols_f, north, lat_step, lon_step, radius = struct.unpack(
-        "<6d", r.need(48))
     if not (math.isfinite(rows_f) and math.isfinite(cols_f)) \
             or rows_f != int(rows_f) or cols_f != int(cols_f):
         raise DataError("non-integer grid dimensions")
-    (flags,) = struct.unpack("<B", r.need(1))
     try:
         grid = GridSpec(rows=int(rows_f), cols=int(cols_f), north_lat=north,
                         lat_step=lat_step, lon_step=lon_step,
@@ -263,51 +254,42 @@ def load_dataset(blob: bytes) -> WeatherDataset:
                         planet_radius_km=radius)
     except ConfigError as e:
         raise DataError(f"invalid grid header: {e}") from e
-    s_in, s_out, a_vars, levels, n_sources, n_times = struct.unpack(
-        "<6I", r.need(24))
-    if s_in < 1 or s_out < s_in or a_vars < 1 or levels < 1 or n_sources < 1:
-        raise DataError("invalid channel counts in header")
-
     h, w = grid.rows, grid.cols
     n_truth = s_out + a_vars * levels
     n_in = s_in + a_vars * levels
-    truth_bytes = n_truth * h * w * 4
-    src_bytes = n_in * h * w * 4
-    # check the size the header implies before allocating anything for it
-    body = n_times * (8 + truth_bytes + n_sources * src_bytes)
-    if r.pos + body > len(blob):
+    n_planes = n_truth + n_sources * n_in
+    # planes numpy cannot index are malformed even when n_times is 0
+    if s_in < 1 or s_out < s_in or a_vars < 1 or levels < 1 or n_sources < 1 \
+            or 4 * n_planes * h * w > np.iinfo(np.intp).max:
+        raise DataError("invalid channel counts in header")
+    # check the size the header implies before viewing anything through it
+    off = _HEADER.size
+    body = n_times * (8 + 4 * n_planes * h * w)
+    if off + body > buf.size:
         raise DataError(f"dataset file truncated: header implies {body} bytes after it, "
-                        f"{len(blob) - r.pos} present")
-    if r.pos + body < len(blob):
-        raise DataError(f"{len(blob) - r.pos - body} trailing bytes after dataset")
-    times = np.frombuffer(r.need(8 * n_times), dtype="<i8").astype(np.int64)
-    truth = np.empty((n_times, n_truth, h, w), dtype=np.float32)
-    srcs = [np.empty((n_times, n_in, h, w), dtype=np.float32)
-            for _ in range(n_sources)]
-    for t in range(n_times):
-        truth[t] = np.frombuffer(r.need(truth_bytes),
-                                 dtype="<f4").reshape(n_truth, h, w)
-        _check_finite(truth[t], "truth", t)
-        for j in range(n_sources):
-            srcs[j][t] = np.frombuffer(r.need(src_bytes),
-                                       dtype="<f4").reshape(n_in, h, w)
-            _check_finite(srcs[j][t], f"source {j}", t)
+                        f"{buf.size - off} present")
+    if off + body < buf.size:
+        raise DataError(f"{buf.size - off - body} trailing bytes after dataset")
+    times = np.frombuffer(buf, dtype="<i8", count=n_times, offset=off).astype(np.int64)
+    planes = buf[off + 8 * n_times:].view("<f4").reshape(n_times, n_planes, h, w)
+    planes.flags.writeable = False
+    if not np.isfinite(planes).all():
+        # planes are in file order, so the first bad value is in the first bad plane
+        t, p = divmod(int(np.argmin(np.isfinite(planes))) // (h * w), n_planes)
+        j, q = divmod(p - n_truth, n_in)
+        field = f"truth plane {p}" if p < n_truth else f"source {j} plane {q}"
+        raise DataError(f"non-finite value in {field} at time index {t}")
     return WeatherDataset(grid=grid, surface_in=s_in, surface_out=s_out,
                           atmos_vars=a_vars, levels=levels, times=times,
-                          truth=truth, sources=tuple(srcs))
-
-
-def _check_finite(planes: np.ndarray, field: str, t: int) -> None:
-    if not np.isfinite(planes).all():
-        p = int(np.argmin(np.isfinite(planes).all(axis=(1, 2))))
-        raise DataError(f"non-finite value in {field} plane {p} at time index {t}")
+                          truth=planes[:, :n_truth],
+                          sources=tuple(planes[:, n_truth + j * n_in:n_truth + (j + 1) * n_in]
+                                        for j in range(n_sources)))
 
 
 def save_dataset_file(ds: WeatherDataset, path) -> None:
     with open(path, "wb") as f:
-        f.write(dump_dataset(ds))
+        f.writelines(_dataset_parts(ds))
 
 
 def load_dataset_file(path) -> WeatherDataset:
-    with open(path, "rb") as f:
-        return load_dataset(f.read())
+    return load_dataset(read_file(path))

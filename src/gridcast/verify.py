@@ -10,6 +10,7 @@ oracles, container round trips, and the curriculum schedule.
 from __future__ import annotations
 
 import math
+import tempfile
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .grid import GridSpec, latitude_weights
 from .model import LatentState, init_model_params, tiny_config
 from .offload import OffloadEngine
 from .rollout import greedy_plan, rollout
-from .serialization import dump_params, load_params
-from .synthdata import dump_dataset, generate_dataset, load_dataset
+from .serialization import dump_params, load_params_file, save_params_file
+from .synthdata import dump_dataset, generate_dataset, load_dataset_file, save_dataset_file
 from .training import admissible_dts, cosine_lr, sample_dts
 
 
@@ -171,16 +172,15 @@ def check_blur_scale():
 
 
 def check_round_trips():
-    rng = np.random.default_rng(7)
-    params = {"a.w": rng.standard_normal((3, 4)), "b": np.float64(2.5)}
-    blob = dump_params(params)
-    back = load_params(blob)
-    assert dump_params(back) == blob, "parameter container round trip"
-
-    grid = GridSpec(rows=8, cols=12, lat_step=10.0, lon_step=30.0)
-    ds = generate_dataset(grid, 1, 2, 1, 2, hours=3, seed=8, n_sources=2)
-    dblob = dump_dataset(ds)
-    assert dump_dataset(load_dataset(dblob)) == dblob, "dataset round trip"
+    params = {"a.w": np.random.default_rng(7).standard_normal((3, 4)), "b": np.float64(2.5)}
+    ds = generate_dataset(GridSpec(rows=8, cols=12, lat_step=10.0, lon_step=30.0),
+                          1, 2, 1, 2, hours=3, seed=8, n_sources=2)
+    with tempfile.TemporaryDirectory() as d:
+        p, q = f"{d}/p.lmtw", f"{d}/d.wmd3"
+        save_params_file(p, params)
+        save_dataset_file(ds, q)
+        assert dump_params(load_params_file(p)) == dump_params(params), "parameter file round trip"
+        assert dump_dataset(load_dataset_file(q)) == dump_dataset(ds), "dataset file round trip"
 
 
 def check_curriculum():

@@ -2,6 +2,7 @@
 
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -131,15 +132,24 @@ class TestWorker:
         assert w.transfers == 6
         w.shutdown()
 
-    def test_snapshot_at_submit(self):
+    def test_one_put_copies_its_input_once(self):
+        n = 1 << 22
+        arr = np.ones(n // 8)
         store = HostStore()
         w = TransferWorker(store)
-        arr = np.ones(4)
-        put = w.submit_put(0, arr)
-        arr[:] = 99.0  # caller mutates immediately; store copy must be intact
-        put.result()
-        assert store.get(0).tolist() == [1.0, 1.0, 1.0, 1.0]
-        w.shutdown()
+        w.submit_put(1, np.ones(1)).result()  # start the thread outside the window
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            w.submit_put(0, arr).result()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            w.shutdown()
+        assert kept - base >= n  # the store holds its own copy ...
+        assert peak - base < n + n // 8  # ... and no second one was made
+        arr[:] = 99.0
+        assert (store.get(0) == 1.0).all()
 
     def test_error_surfaces_on_wait(self):
         w = TransferWorker(HostStore())

@@ -1,11 +1,13 @@
 """Parameter container: byte layout and round trips."""
 
+import os
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridcast import serialization
 from gridcast.serialization import (
     ContainerError,
     dump_params,
@@ -13,6 +15,8 @@ from gridcast.serialization import (
     load_params_file,
     save_params_file,
 )
+from gridcast.grid import GridSpec
+from gridcast.synthdata import generate_dataset, load_dataset_file, save_dataset_file
 
 
 def test_header_layout():
@@ -60,7 +64,10 @@ def test_round_trip_bitwise(tmp_path):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     # byte-level idempotence
-    assert dump_params(back) == p.read_bytes()
+    assert dump_params(back) == p.read_bytes() == dump_params(params)
+    for arr in back.values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
 
 
 def test_rejects_bad_magic():
@@ -103,3 +110,55 @@ def test_round_trip_any_names_and_ranks(spec):
     for k, v in params.items():
         assert back[k].tobytes() == np.asarray(v, dtype=np.float64).tobytes()
         assert back[k].shape == np.asarray(v).shape
+
+
+@pytest.mark.parametrize("name", [b"\xff", b"ok\xc3"])
+def test_rejects_name_that_is_not_utf8(name):
+    buf = b"LMTW" + struct.pack("<III", 1, 1, len(name)) + name + struct.pack("<I", 0) + bytes(8)
+    with pytest.raises(ContainerError, match="not UTF-8"):
+        load_params(buf)
+
+
+@pytest.mark.parametrize("names", [("w", "w"), ("zz", "aa")])
+def test_rejects_duplicate_or_unsorted_names(names):
+    a, b = (dump_params({n: np.ones(2)}) for n in names)
+    # splice the two one-entry containers into one two-entry container
+    buf = bytearray(a + b[12:])
+    struct.pack_into("<I", buf, 8, 2)
+    with pytest.raises(ContainerError, match="strictly sorted"):
+        load_params(bytes(buf))
+
+
+_FUZZ_BLOB = dump_params({"a": np.zeros((2, 3)), "b.w": np.float64(1.5),
+                          "c\u00e9": np.arange(4.0)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_or_truncated_container_raises_only_container_error(data):
+    blob = bytearray(_FUZZ_BLOB)
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+            pos = data.draw(st.integers(0, len(blob) - 1), label="position")
+            blob[pos] = data.draw(st.integers(0, 255), label="byte")
+    try:
+        load_params(bytes(blob))
+    except ContainerError:
+        pass
+
+
+def test_short_read_raises_os_error(tmp_path, monkeypatch):
+    lmtw, wmd3 = tmp_path / "p.lmtw", tmp_path / "d.wmd3"
+    save_params_file(lmtw, {"w": np.ones(3)})
+    save_dataset_file(generate_dataset(GridSpec(rows=8, cols=12, lat_step=10.0, lon_step=30.0),
+                                       1, 2, 1, 2, hours=1), wmd3)
+    # the file shrank between the stat and the read: fstat reports 16 bytes more
+    real = os.fstat
+    monkeypatch.setattr(serialization.os, "fstat", lambda fd: os.stat_result(
+        (0,) * 6 + (real(fd).st_size + 16,) + (0,) * 3))
+    with pytest.raises(OSError, match="short read"):
+        load_params_file(lmtw)
+    with pytest.raises(OSError, match="short read"):
+        load_dataset_file(wmd3)

@@ -112,11 +112,12 @@ class TestContainer:
         assert back.grid == ds.grid
 
     def test_file_round_trip(self, tmp_path):
-        ds = small_ds(hours=3)
+        ds = small_ds(hours=3, n_sources=2)
         p = tmp_path / "d.wmd3"
         save_dataset_file(ds, p)
         back = load_dataset_file(p)
         assert back.truth.tobytes() == ds.truth.tobytes()
+        assert p.read_bytes() == dump_dataset(ds) == dump_dataset(back)
 
     def test_bad_magic(self):
         blob = bytearray(dump_dataset(small_ds(hours=1)))
@@ -161,6 +162,25 @@ class TestContainer:
         with pytest.raises(DataError, match=f"{field} plane 4 at time index 1"):
             load_dataset(bytes(blob))
 
+    def test_header_implying_an_unindexable_record_rejected(self):
+        blob = bytearray(dump_dataset(small_ds(hours=1)))
+        # zero times, so the body is empty whatever the record size
+        struct.pack_into("<6I", blob, 57, 1, 2 ** 32 - 1, 2 ** 32 - 1,
+                         2 ** 32 - 1, 2, 0)
+        with pytest.raises(DataError, match="channel counts"):
+            load_dataset(bytes(blob[:81]))
+
+    def test_loaded_fields_are_read_only_views_of_one_buffer(self, tmp_path):
+        p = tmp_path / "d.wmd3"
+        save_dataset_file(small_ds(hours=2, n_sources=2), p)
+        back = load_dataset_file(p)
+        buf = back.truth.base
+        assert buf.nbytes == p.stat().st_size
+        for arr in (back.truth,) + back.sources:
+            assert arr.base is buf and np.shares_memory(arr, buf)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0, 0] = 1.0
+
     def test_desk_grid_header_survives(self):
         ds = generate_dataset(desk_grid(), 4, 6, 3, 8, hours=2, seed=1)
         back = load_dataset(dump_dataset(ds))
@@ -200,6 +220,19 @@ class TestExtraction:
         flat = np.concatenate([sfc, atm.reshape(8, 24, 24)])
         assert np.allclose(flat, ds.truth[2].astype(np.float64))
 
+    @pytest.mark.parametrize("times", [[0, 2, 1], [0, 1, 1]])
+    def test_time_axis_must_increase(self, times):
+        ds = small_ds(hours=2)
+        with pytest.raises(DataError, match="strictly increasing"):
+            WeatherDataset(grid=ds.grid, surface_in=2, surface_out=3,
+                           atmos_vars=2, levels=4,
+                           times=np.array(times, dtype=np.int64),
+                           truth=ds.truth, sources=ds.sources)
+        blob = bytearray(dump_dataset(ds))
+        struct.pack_into("<3q", blob, 81, *times)
+        with pytest.raises(DataError, match="strictly increasing"):
+            load_dataset(bytes(blob))
+
     def test_dataset_validation(self):
         ds = small_ds(hours=1)
         with pytest.raises(DataError):
@@ -226,3 +259,40 @@ def test_mutated_or_truncated_blob_raises_only_data_error(data):
         load_dataset(bytes(blob))
     except DataError:
         pass
+
+
+def _per_plane_walk_message(ds):
+    """The loader's former check, as the oracle: walk each time's truth block
+    and then its source blocks, naming the first plane that holds a
+    non-finite value."""
+    for t in range(ds.n_times):
+        blocks = [("truth", ds.truth[t])]
+        blocks += [(f"source {j}", s[t]) for j, s in enumerate(ds.sources)]
+        for field, planes in blocks:
+            if not np.isfinite(planes).all():
+                p = int(np.argmin(np.isfinite(planes).all(axis=(1, 2))))
+                return f"non-finite value in {field} plane {p} at time index {t}"
+    return None
+
+
+_NAN_DS = small_ds(hours=2, n_sources=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 10),
+                          st.integers(0, 23), st.integers(0, 23),
+                          st.sampled_from([np.nan, np.inf, -np.inf])),
+                min_size=1, max_size=4))
+def test_non_finite_message_matches_the_per_plane_walk(bad):
+    truth = _NAN_DS.truth.copy()
+    sources = [s.copy() for s in _NAN_DS.sources]
+    for block, t, plane, y, x, value in bad:
+        arr = truth if block == 0 else sources[block - 1]
+        arr[t, plane % arr.shape[1], y, x] = value
+    ds = WeatherDataset(grid=_NAN_DS.grid, surface_in=2, surface_out=3,
+                        atmos_vars=2, levels=4, times=_NAN_DS.times,
+                        truth=truth, sources=tuple(sources))
+    want = _per_plane_walk_message(ds)
+    with pytest.raises(DataError) as e:
+        load_dataset(dump_dataset(ds))
+    assert str(e.value) == want

@@ -4,7 +4,7 @@ The package is organized bottom-up:
 
     autodiff       dense float64 tensors with reverse-mode differentiation
     serialization  binary parameter container
-    offload        host-offloaded activation store with prefetched backward
+    offload        synchronous segment store that keeps rollout inputs off the tape
     grid           lat-lon geometry, weights, neighborhoods, static fields
     attention      rotary neighborhood attention transformer blocks
     model          encoder / processors / decoder and their configs

@@ -4,7 +4,7 @@ Double-precision numpy arrays under the hood, a tape built implicitly out of
 node references, and one segment-checkpoint mechanism that discards
 intermediates on the forward pass and recomputes them during backward.  A
 segment's input is kept by a store: pinned on the tape by default, or copied
-out to host storage by offload.OffloadEngine.  All primitives are
+into a slot of an offload.OffloadEngine.  All primitives are
 deterministic: two runs over identical inputs produce bitwise-identical
 outputs and gradients, which is what lets checkpointed and non-checkpointed
 executions be compared exactly.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "checkpoint_segment",
     "tape_stats",
     "reset_tape_stats",
-    "set_alloc_observer",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -51,10 +49,9 @@ class GraphError(RuntimeError):
     """Misuse of the tape: non-scalar root, repeated backward, dead tensor."""
 
 
-class _ThreadState(threading.local):
+class _State:
     def __init__(self):
         self.grad_enabled = True
-        self.alloc_observer = None
         self.stats = TapeStats()
 
 
@@ -86,7 +83,7 @@ class TapeStats:
         self.__init__()
 
 
-_state = _ThreadState()
+_state = _State()
 
 
 def tape_stats() -> TapeStats:
@@ -95,15 +92,6 @@ def tape_stats() -> TapeStats:
 
 def reset_tape_stats() -> None:
     _state.stats.reset()
-
-
-def set_alloc_observer(observer) -> None:
-    """Install a callback invoked with every freshly created Tensor.
-
-    Used by the offload arena to meter activation residency.  Pass None to
-    remove.  The observer must not create Tensors itself.
-    """
-    _state.alloc_observer = observer
 
 
 def grad_enabled() -> bool:
@@ -195,9 +183,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.node = node
         self.grad = None
-        obs = _state.alloc_observer
-        if obs is not None:
-            obs(self)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -1052,8 +1037,8 @@ def checkpoint_segment(fn: Callable[[Tensor], Tensor], x: Tensor, store=None) ->
     every primitive is deterministic.  Only the segment input is kept for
     backward, by the store: the default pins it on the tape (one saved array
     per segment instead of one per interior op); an offload.OffloadEngine
-    copies it out to host storage instead.  Under no_grad this is fn(x) and
-    the store is not touched.
+    copies it into one of its slots instead, so the tape pins nothing.
+    Under no_grad this is fn(x) and the store is not touched.
 
     A store has two methods.  store.keep(x, forward) runs forward() and
     returns (saved, key, y): the arrays the tape node pins, a key for the

@@ -196,7 +196,12 @@ def _load_forecast_fields(path):
     for key in ("surface", "atmos", "valid_time"):
         if key not in blobs:
             raise DataError(f"forecast file lacks {key!r}")
-    return blobs["surface"], blobs["atmos"], int(blobs["valid_time"])
+    vt = blobs["valid_time"]
+    if vt.ndim != 0:
+        raise DataError(f"forecast valid_time must be a scalar, got shape {vt.shape}")
+    if not np.isfinite(vt) or vt != np.floor(vt):
+        raise DataError(f"forecast valid_time must be a whole hour, got {float(vt)}")
+    return blobs["surface"], blobs["atmos"], int(vt)
 
 
 def _cmd_evaluate(args, argv) -> int:
@@ -267,13 +272,17 @@ def _cmd_scorecard(args, argv) -> int:
     return 0
 
 
-def _bench_workload(n_segments: int, budget: int, lookahead: int):
-    """One offloaded forward+backward over a rollout of six-hour processor steps."""
+def _bench_workload(n_segments: int):
+    """One offloaded forward+backward over a rollout of six-hour processor steps.
+
+    high_water_bytes is the tape's saved-bytes peak over the run.
+    """
     cfg = tiny_config()
     params = init_model_params(cfg, seed=0, zero_residual=False)
     rng = np.random.default_rng(42)
     z0 = Tensor(rng.standard_normal((cfg.tokens, cfg.hidden)), requires_grad=True)
-    engine = OffloadEngine(budget_bytes=budget, lookahead=lookahead)
+    engine = OffloadEngine()
+    ad.reset_tape_stats()
     try:
         t0 = time.time()
         z = rollout(LatentState(z0, 0, cfg.latent_extents), (6,) * n_segments,
@@ -281,9 +290,8 @@ def _bench_workload(n_segments: int, budget: int, lookahead: int):
         loss = (z * z).mean()
         backward(loss, leaves=[z0])
         wall = time.time() - t0
-        return {"segments": n_segments, "high_water_bytes": engine.high_water,
-                "demand_stalls": engine.demand_stalls,
-                "blocked_waits": engine.blocked_waits,
+        return {"segments": n_segments,
+                "high_water_bytes": ad.tape_stats().saved_bytes_peak,
                 "wall_time_s": round(wall, 6)}
     finally:
         engine.close()
@@ -298,9 +306,8 @@ def _cmd_bench_offload(args, argv) -> int:
                           "expected comma-separated integers")
     if not counts or any(c < 1 for c in counts):
         raise ConfigError("--segments needs positive integers")
-    rows = [_bench_workload(c, args.budget, args.lookahead) for c in counts]
-    header = ["segments", "high_water_bytes", "demand_stalls",
-              "blocked_waits", "wall_time_s"]
+    rows = [_bench_workload(c) for c in counts]
+    header = ["segments", "high_water_bytes", "wall_time_s"]
     if args.out:
         out = _resolve_out(args.out)
         _ensure_parent(out)
@@ -309,9 +316,7 @@ def _cmd_bench_offload(args, argv) -> int:
             w.writerow(header)
             for r in rows:
                 w.writerow([r[k] for k in header])
-        write_manifest(out, argv, {"budget": args.budget,
-                                   "lookahead": args.lookahead}, None,
-                       [out], time.time() - t0)
+        write_manifest(out, argv, {}, None, [out], time.time() - t0)
         print(f"wrote {out}")
     else:
         print(",".join(header))
@@ -388,14 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser(
         "bench-offload", help="measure the offload engine",
         description="One offloaded forward+backward per segment count over a "
-                    "tiny-config rollout of six-hour steps; reports arena high "
-                    "water, demand stalls, blocked waits and wall time.")
+                    "tiny-config rollout of six-hour steps; reports the tape's "
+                    "saved-bytes peak and the wall time.")
     b.add_argument("--segments", required=True,
                    help="comma-separated segment counts, e.g. 1,4,16")
-    b.add_argument("--budget", type=int, required=True,
-                   help="arena budget in bytes")
-    b.add_argument("--lookahead", type=int, default=2,
-                   help="backward fetches kept in flight ahead of need")
     b.add_argument("--out", help="CSV file to write (default: print the rows)")
 
     sub.add_parser("verify", help="run the built-in invariant checks")

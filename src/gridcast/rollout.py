@@ -8,8 +8,9 @@ at the end.
 
 Each step is a checkpointed segment, so long rollouts keep a constant
 number of live intermediates.  The segment inputs are pinned on the tape, or
-kept in host storage when an OffloadEngine is passed as the segment store.
-Under no_grad no segment is recorded and the engine stores nothing.
+copied into the slots of an OffloadEngine passed as the segment store, which
+keeps the tape's saved-bytes peak flat in the number of steps.  Under
+no_grad no segment is recorded and the engine stores nothing.
 """
 
 from __future__ import annotations

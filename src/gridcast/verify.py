@@ -78,26 +78,26 @@ def check_offload_parity():
     z0v = rng.standard_normal((cfg.tokens, cfg.hidden))
 
     def run(engine, steps):
+        """Loss and gradient bytes, and the tape's saved-bytes peak."""
+        ad.reset_tape_stats()
         z0 = Tensor(z0v, requires_grad=True)
         z = rollout(LatentState(z0, 0, cfg.latent_extents), (6,) * steps, params,
                     cfg, engine=engine).tokens
         loss = (z * z).mean()
         g = backward(loss, leaves=[z0])
-        return loss.values.tobytes(), g[z0].tobytes()
+        return loss.values.tobytes() + g[z0].tobytes(), ad.tape_stats().saved_bytes_peak
 
-    plain = run(None, 3)
-    waters = []
-    for steps in (3, 4):
-        eng = OffloadEngine(budget_bytes=1 << 26, lookahead=2)
-        try:
-            got = run(eng, steps)
-            if steps == 3:
-                assert got == plain, "offloaded gradients differ from plain"
-            assert eng.demand_stalls == 0, f"{eng.demand_stalls} demand stalls"
-            waters.append(eng.high_water)
-        finally:
-            eng.close()
-    assert waters[0] == waters[1], f"high water drifts: {waters}"
+    offloaded, pinned = [], []
+    for steps in (1, 4, 16):
+        eng = OffloadEngine()
+        got, peak = run(eng, steps)
+        eng.close()
+        plain, pinned_peak = run(None, steps)
+        assert got == plain, f"offloaded gradients differ from plain at {steps} steps"
+        offloaded.append(peak)
+        pinned.append(pinned_peak)
+    assert offloaded[0] == offloaded[1] == offloaded[2], f"offloaded tape peak drifts: {offloaded}"
+    assert pinned[0] < pinned[1] < pinned[2], f"pinned tape peak does not grow: {pinned}"
 
 
 def check_gradient_fd():

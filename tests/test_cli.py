@@ -132,6 +132,20 @@ class TestForecastEvaluate:
         sc = json.loads((tmp_path / "sc.json").read_text())
         assert all(v == 0.0 for v in sc["percent_vs_baseline"].values())
 
+    @pytest.mark.parametrize("valid_time", [np.zeros(2), np.float64(np.nan),
+                                            np.float64(1.5)],
+                             ids=["array", "nan", "fraction"])
+    def test_bad_valid_time_is_data_error(self, tmp_path, data_file, capsys,
+                                          valid_time):
+        fc = str(tmp_path / "fc.lmtw")
+        save_params_file(fc, {"surface": np.zeros((3, 24, 24)),
+                              "atmos": np.zeros((2, 4, 24, 24)),
+                              "valid_time": valid_time})
+        rc = main(["evaluate", "--forecast", fc, "--truth", data_file,
+                   "--wavelength-km", WAVELEN, "--out", str(tmp_path / "e.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: data: ")
+
     def test_offload_flag_matches_plain(self, tmp_path, spec_file, data_file):
         run = train_small(tmp_path, spec_file, data_file)
         a = str(tmp_path / "a.lmtw")
@@ -283,20 +297,17 @@ class TestTenExtraSources:
 class TestBenchOffload:
     def test_csv_rows(self, tmp_path):
         out = str(tmp_path / "bench.csv")
-        rc = main(["bench-offload", "--segments", "1,2", "--budget",
-                   str(1 << 26), "--lookahead", "2",
-                   "--out", out])
+        rc = main(["bench-offload", "--segments", "1,2", "--out", out])
         assert rc == 0
         with open(out) as f:
             rows = list(csv.reader(f))
-        assert rows[0] == ["segments", "high_water_bytes", "demand_stalls",
-                           "blocked_waits", "wall_time_s"]
+        assert rows[0] == ["segments", "high_water_bytes", "wall_time_s"]
         assert [r[0] for r in rows[1:]] == ["1", "2"]
-        assert rows[1][1] == rows[2][1]  # same high water for 1 and 2 segments
-        assert rows[1][2] == rows[2][2] == "0"
+        assert rows[1][1] == rows[2][1]  # same tape peak for 1 and 2 segments
+        assert int(rows[1][1]) > 0
 
     def test_bad_segments(self, tmp_path, capsys):
-        rc = main(["bench-offload", "--segments", "1,zap", "--budget", "1000"])
+        rc = main(["bench-offload", "--segments", "1,zap"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: config: ")
 

@@ -1,4 +1,5 @@
-"""Source hygiene: no module in gridcast imports a name it never uses."""
+"""Source hygiene: no module in gridcast imports a name it never uses, and
+every name a module exports in __all__ is one it defines or imports."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gridcast"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +45,34 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def stale_exports(source: str) -> list[str]:
+    """Names listed in __all__ that no top-level statement of the module binds."""
+    tree = ast.parse(source)
+    bound = set()
+    exported = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                bound.update(n.id for n in ast.walk(t) if isinstance(n, ast.Name))
+                if isinstance(t, ast.Name) and t.id == "__all__":
+                    exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_export_checker_finds_stale_names():
+    src = ("import os\nfrom a import b as c\nX: int = 1\nY, Z = 2, 3\n"
+           "def f(): pass\nclass K: pass\n"
+           "__all__ = ['os', 'c', 'X', 'Y', 'Z', 'f', 'K', 'gone', 'b']\n")
+    assert stale_exports(src) == ["gone", "b"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_exports_are_defined(path):
+    assert stale_exports(path.read_text()) == []

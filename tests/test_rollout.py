@@ -151,10 +151,10 @@ class TestRollout:
             return (loss.values.tobytes(), [grads[t].tobytes() for t in leaves])
 
         plain = run(None)
-        eng = OffloadEngine(budget_bytes=1 << 26, lookahead=2)
+        eng = OffloadEngine()
         offloaded = run(eng)
         assert plain == offloaded
-        assert eng.demand_stalls == 0
+        assert eng.slots == {}  # backward consumed every kept input
         eng.close()
 
     def test_forecast_dt_obeys_cap(self, setup):

@@ -59,20 +59,19 @@ class TapeStats:
     """Counters over the implicit tape, for residency instrumentation.
 
     saved_current counts intermediate arrays currently pinned by tape nodes
-    for use in backward; saved_peak is its high-water mark.
+    for use in backward; saved_bytes_current and saved_bytes_peak meter
+    their bytes.
     """
 
     def __init__(self):
         self.nodes_created = 0
         self.saved_current = 0
-        self.saved_peak = 0
         self.saved_bytes_current = 0
         self.saved_bytes_peak = 0
 
     def _on_save(self, arrays):
         self.saved_current += len(arrays)
         self.saved_bytes_current += sum(a.nbytes for a in arrays)
-        self.saved_peak = max(self.saved_peak, self.saved_current)
         self.saved_bytes_peak = max(self.saved_bytes_peak, self.saved_bytes_current)
 
     def _on_release(self, arrays):
@@ -175,14 +174,13 @@ class Tensor:
     (product of extents == element count) is numpy's own.
     """
 
-    __slots__ = ("values", "requires_grad", "node", "grad", "__weakref__")
+    __slots__ = ("values", "requires_grad", "node", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False, node: TapeNode | None = None,
                  copy: bool = True):
         self.values = _own(values, copy)
         self.requires_grad = bool(requires_grad)
         self.node = node
-        self.grad = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -262,10 +260,6 @@ def _coerce(x) -> Tensor:
 
 def _const(x: float) -> Tensor:
     return Tensor(np.float64(x))
-
-
-def parameter(values) -> Tensor:
-    return Tensor(values, requires_grad=True)
 
 
 def _record(op: str, out_values, parents: Sequence[Tensor], saved, rule) -> Tensor:
@@ -783,12 +777,20 @@ def _conv_plan(extents, kernel, stride, pads, wrap) -> _ConvPlan:
     return plan
 
 
-def _norm_conv_args(x_shape, w_shape, stride, pads, wrap, op):
-    n = len(x_shape) - 1
+def _conv_args(op, x, w, b, in_axis, stride, pads, wrap):
+    """Check a conv's operands, w's input channels on in_axis; n is the spatial rank."""
+    x._check_alive(op)
+    w._check_alive(op)
+    n = w.values.ndim - 2
     if n not in (2, 3):
-        raise ShapeError(f"{op}: expected 2 or 3 spatial dims, got input shape {x_shape}")
-    if len(w_shape) != n + 2:
-        raise ShapeError(f"{op}: weight rank {len(w_shape)} does not match {n} spatial dims")
+        raise ShapeError(f"{op}: expected 2 or 3 spatial dims, got weight shape {w.shape}")
+    c_in, c_out = w.shape[in_axis], w.shape[1 - in_axis]
+    if x.values.ndim not in (n + 1, n + 2):
+        raise ShapeError(f"{op}: input shape {x.shape} is not ([B,] C, *S) for {n} spatial dims")
+    if x.shape[-n - 1] != c_in:
+        raise ShapeError(f"{op}: input channels {x.shape[-n - 1]} != weight channels {c_in}")
+    if b is not None and b.shape != (c_out,):
+        raise ShapeError(f"{op}: bias {b.shape} must be ({c_out},)")
     stride = (stride,) * n if isinstance(stride, int) else tuple(stride)
     if pads is None:
         pads = ((0, 0),) * n
@@ -796,7 +798,7 @@ def _norm_conv_args(x_shape, w_shape, stride, pads, wrap, op):
     wrap = (False,) * n if wrap is None else tuple(wrap)
     if not (len(stride) == len(pads) == len(wrap) == n):
         raise ShapeError(f"{op}: stride/pads/wrap must have {n} entries")
-    return n, stride, pads, wrap
+    return n, c_in, c_out, stride, pads, wrap
 
 
 def _gather_cols(xv: np.ndarray, plan: _ConvPlan) -> np.ndarray:
@@ -832,40 +834,42 @@ def _scatter_cols(gcols: np.ndarray, c_in: int, extents, plan: _ConvPlan) -> np.
 def conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads=None, wrap=None) -> Tensor:
     """N-d convolution (N = 2 or 3), channels-first.
 
-    x: (C_in, *S); w: (C_out, C_in, *K); wrapped axes convolve circularly
-    with centered taps, other axes honor explicit (before, after) zero pads.
+    x: ([B,] C_in, *S), batched when its rank says so; w: (C_out, C_in, *K).
+    Wrapped axes convolve circularly with centered taps, other axes honor
+    explicit (before, after) zero pads.  Each batch entry gets its own im2col
+    and GEMM; one stacked GEMM over the batch is slower.  The backward hands
+    acc the entries' weight and bias gradients last entry first, the order a
+    sweep reaches B unbatched convs in, so every sum is bitwise theirs.
     """
-    x._check_alive("conv")
-    w._check_alive("conv")
-    n, stride, pads, wrap = _norm_conv_args(x.shape, w.shape, stride, pads, wrap, "conv")
-    c_out, c_in = w.shape[0], w.shape[1]
-    if c_in != x.shape[0]:
-        raise ShapeError(f"conv: input channels {x.shape[0]} != weight channels {c_in}")
-    kernel = w.shape[2:]
-    plan = _conv_plan(x.shape[1:], kernel, stride, pads, wrap)
+    n, c_in, c_out, stride, pads, wrap = _conv_args("conv", x, w, b, 1, stride, pads, wrap)
+    plan = _conv_plan(x.shape[-n:], w.shape[2:], stride, pads, wrap)
     outs = plan.outs
-    cols = _gather_cols(x.values, plan)  # (C_in*K, P)
     wmat = w.values.reshape(c_out, -1)
+    out = np.empty(x.shape[:-n - 1] + (c_out,) + outs)
     # The GEMMs here and in the rule take the columns as a transposed view, so
     # BLAS sees the operand roles of a (P, C_in*K) im2col; swapping the roles
     # (wmat @ cols) rounds differently on some shapes.
-    y = cols.T @ wmat.T  # (P, C_out)
-    if b is not None:
-        if b.shape != (c_out,):
-            raise ShapeError(f"conv: bias {b.shape} must be ({c_out},)")
-        y = y + b.values
-    out = np.ascontiguousarray(y.reshape(tuple(outs) + (c_out,)).transpose((n,) + tuple(range(n))))
+    for xi, oi in zip(x.values.reshape((-1,) + x.shape[-n - 1:]), out.reshape((-1, c_out) + outs)):
+        y = _gather_cols(xi, plan).T @ wmat.T  # (P, C_out)
+        if b is not None:
+            y += b.values
+        oi[...] = y.reshape(outs + (c_out,)).transpose((n,) + tuple(range(n)))
 
     parents = (x, w) if b is None else (x, w, b)
 
     def rule(g, saved, acc):
         (xv,) = saved
-        gmat_t = g.reshape(c_out, -1)  # (C_out, P)
-        acc(w, (gmat_t @ _gather_cols(xv, plan).T).reshape(w.shape))
-        if b is not None:
-            acc(b, gmat_t.T.sum(axis=0))
-        if x.requires_grad:  # the stem conv's input is data
-            acc(x, _scatter_cols(wmat.T @ gmat_t, c_in, x.shape[1:], plan))
+        xb = xv.reshape((-1,) + xv.shape[-n - 1:])
+        gb = g.reshape(len(xb), c_out, -1)  # (B, C_out, P)
+        gx = np.empty(xb.shape) if x.requires_grad else None  # the stems' input is data
+        for i in reversed(range(len(xb))):
+            acc(w, (gb[i] @ _gather_cols(xb[i], plan).T).reshape(w.shape))
+            if b is not None:
+                acc(b, gb[i].T.sum(axis=0))
+            if gx is not None:
+                gx[i] = _scatter_cols(wmat.T @ gb[i], c_in, xv.shape[-n:], plan)
+        if gx is not None:
+            acc(x, gx.reshape(xv.shape))
 
     return _record("conv", out, parents, (x.values,), rule)
 
@@ -874,48 +878,46 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads
                    wrap=None, out_extents=None) -> Tensor:
     """Transposed N-d convolution: the exact adjoint of `conv`'s input map.
 
-    x: (C_in, *S_small); w: (C_in, C_out, *K); output (C_out, *out_extents)
-    where conv(out_extents -> S_small) under the same kernel/stride/pads/wrap
-    geometry must reproduce S_small.
+    x: ([B,] C_in, *S_small); w: (C_in, C_out, *K); output
+    ([B,] C_out, *out_extents), where conv(out_extents -> S_small) under the
+    same kernel/stride/pads/wrap geometry must reproduce S_small.  Batch
+    entries and their gradients run as in conv.
     """
-    x._check_alive("conv_transpose")
-    w._check_alive("conv_transpose")
-    n, stride, pads, wrap = _norm_conv_args(x.shape, w.shape, stride, pads, wrap, "conv_transpose")
-    c_in, c_out = w.shape[0], w.shape[1]
-    if c_in != x.shape[0]:
-        raise ShapeError(f"conv_transpose: input channels {x.shape[0]} != weight channels {c_in}")
+    n, c_in, c_out, stride, pads, wrap = _conv_args("conv_transpose", x, w, b, 0, stride,
+                                                    pads, wrap)
     if out_extents is None:
         raise ShapeError("conv_transpose: out_extents is required")
     out_extents = tuple(out_extents)
-    kernel = w.shape[2:]
-    plan = _conv_plan(out_extents, kernel, stride, pads, wrap)
-    outs = plan.outs
-    if tuple(outs) != tuple(x.shape[1:]):
+    plan = _conv_plan(out_extents, w.shape[2:], stride, pads, wrap)
+    if plan.outs != x.shape[-n:]:
         raise ShapeError(
-            f"conv_transpose: adjoint geometry maps {out_extents} -> {tuple(outs)}, "
-            f"but input spatial extents are {tuple(x.shape[1:])}")
+            f"conv_transpose: adjoint geometry maps {out_extents} -> {plan.outs}, "
+            f"but input spatial extents are {x.shape[-n:]}")
 
     # w rows are channel-major over kernel taps, matching _scatter_cols layout;
     # the GEMMs use transposed views as in conv
     wmat = w.values.reshape(c_in, -1)  # (C_in, C_out*K)
-    xmat_t = x.values.reshape(c_in, -1)  # (C_in, P)
-    y = _scatter_cols(wmat.T @ xmat_t, c_out, out_extents, plan)
+    out = np.empty(x.shape[:-n - 1] + (c_out,) + out_extents)
+    for xi, oi in zip(x.values.reshape(-1, c_in, math.prod(plan.outs)),
+                      out.reshape((-1, c_out) + out_extents)):
+        oi[...] = _scatter_cols(wmat.T @ xi, c_out, out_extents, plan)
     if b is not None:
-        if b.shape != (c_out,):
-            raise ShapeError(f"conv_transpose: bias {b.shape} must be ({c_out},)")
-        y = y + b.values.reshape((c_out,) + (1,) * n)
-    out = np.ascontiguousarray(y)
+        out += b.values.reshape((c_out,) + (1,) * n)
 
     parents = (x, w) if b is None else (x, w, b)
 
     def rule(g, saved, acc):
         (xv,) = saved
-        gcols = _gather_cols(g, plan)  # (C_out*K, P)
-        acc(x, np.ascontiguousarray((gcols.T @ wmat.T).T.reshape(x.shape)))
-        acc(w, (xv.reshape(c_in, -1) @ gcols.T).reshape(w.shape))
-        if b is not None:
-            axes = tuple(range(1, n + 1))
-            acc(b, g.sum(axis=axes))
+        gb = g.reshape((-1, c_out) + out_extents)
+        xb = xv.reshape(len(gb), c_in, -1)  # (B, C_in, P)
+        gx = np.empty(xb.shape)
+        for i in reversed(range(len(gb))):
+            gcols = _gather_cols(gb[i], plan)  # (C_out*K, P)
+            gx[i] = (gcols.T @ wmat.T).T
+            acc(w, (xb[i] @ gcols.T).reshape(w.shape))
+            if b is not None:
+                acc(b, gb[i].sum(axis=tuple(range(1, n + 1))))
+        acc(x, gx.reshape(xv.shape))
 
     return _record("conv_transpose", out, parents, (x.values,), rule)
 
@@ -945,7 +947,7 @@ def _topo(root: Tensor) -> list[tuple[Tensor, TapeNode]]:
     return sorted(found.values(), key=lambda item: item[1].gen)
 
 
-def _backward_impl(root: Tensor, seed: np.ndarray, set_grad_attr: bool, min_gen: int = 0):
+def _backward_impl(root: Tensor, seed: np.ndarray, min_gen: int = 0):
     acc: dict[int, list] = {}  # id -> [tensor, grad]
 
     def add_grad(t: Tensor, g: np.ndarray):
@@ -980,8 +982,6 @@ def _backward_impl(root: Tensor, seed: np.ndarray, set_grad_attr: bool, min_gen:
             if g.shape != t.shape:
                 g = _contig(np.broadcast_to(g, t.shape).copy())
             leaves[t] = g
-            if set_grad_attr:
-                t.grad = g
     return leaves
 
 
@@ -1003,13 +1003,11 @@ def backward(root: Tensor, seed=None, leaves: Iterable[Tensor] | None = None):
             raise GraphError(f"backward: seed shape {seed.shape} != root shape {root.shape}")
     if root.node is not None and root.node.consumed:
         raise GraphError("backward: tape already consumed for this root; rebuild the graph")
-    grads = _backward_impl(root, seed, set_grad_attr=True)
+    grads = _backward_impl(root, seed)
     if leaves is not None:
         for t in leaves:
             if t.requires_grad and t not in grads:
-                z = np.zeros_like(t.values)
-                grads[t] = z
-                t.grad = z
+                grads[t] = np.zeros_like(t.values)
     return grads
 
 
@@ -1063,8 +1061,7 @@ def checkpoint_segment(fn: Callable[[Tensor], Tensor], x: Tensor, store=None) ->
             with enable_grad():
                 x_re = Tensor(xv, requires_grad=True, copy=False)
                 y_re = fn(x_re)
-                sub = _backward_impl(y_re, np.asarray(g, dtype=np.float64),
-                                     set_grad_attr=False, min_gen=start_gen)
+                sub = _backward_impl(y_re, np.asarray(g, dtype=np.float64), min_gen=start_gen)
             return sub.pop(x_re, None), sub
 
         gx, sub = store.restore(saved, key, replay)

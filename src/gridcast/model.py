@@ -2,11 +2,11 @@
 
 The encoder folds vertical levels into a small number of depth planes,
 runs a shared 2D convolutional pyramid (stem + three stride-2 stages, 8x
-total downsampling) over every plane, stacks the planes into a 3D token
-grid, and applies neighborhood attention blocks.  Processors advance the
-latent state by a fixed horizon (1 h or 6 h) with a deeper block stack.
-The decoder mirrors the encoder with transposed convolutions and per-branch
-output heads.
+total downsampling) once over the planes as one batch, reads the batch as
+a 3D token grid, and applies neighborhood attention blocks.  Processors
+advance the latent state by a fixed horizon (1 h or 6 h) with a deeper
+block stack.  The decoder mirrors the encoder with transposed convolutions
+over the same batch of planes and per-branch output heads.
 
 Latent extents are (1 + levels/level_patch, rows/8, cols/8): one depth
 plane for the surface branch plus one per folded level group.
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -328,37 +329,6 @@ def _pyramid_up(x, params, out_shapes):
 # encode / process / decode
 # ---------------------------------------------------------------------------
 
-def _fold_levels(atmos: Tensor, cfg: ModelConfig) -> list[Tensor]:
-    """(A, L, H, W) -> one (A*patch, H, W) tensor per level group."""
-    a, l, h, w = atmos.shape
-    g = l // cfg.level_patch
-    planes = atmos.reshape(a, g, cfg.level_patch, h, w).transpose(1, 0, 2, 3, 4)
-    return [planes[j].reshape(a * cfg.level_patch, h, w) for j in range(g)]
-
-
-def _unfold_levels(planes: list[Tensor], cfg: ModelConfig) -> Tensor:
-    """Inverse of _fold_levels: list of (A*patch, H, W) -> (A, L, H, W)."""
-    g = len(planes)
-    h, w = planes[0].shape[-2:]
-    stacked = ad.concat([pl.reshape(1, cfg.atmos_vars, cfg.level_patch, h, w)
-                         for pl in planes], axis=0)
-    return stacked.transpose(1, 0, 2, 3, 4).reshape(
-        cfg.atmos_vars, g * cfg.level_patch, h, w)
-
-
-def _tokens_from_planes(planes: list[Tensor], cfg: ModelConfig) -> Tensor:
-    d = len(planes)
-    c, hh, ww = planes[0].shape
-    stacked = ad.concat([pl.reshape(1, c, hh, ww) for pl in planes], axis=0)
-    return stacked.transpose(0, 2, 3, 1).reshape(d * hh * ww, c)
-
-
-def _planes_from_tokens(tokens: Tensor, extents, hidden) -> list[Tensor]:
-    d, hh, ww = extents
-    grid_t = tokens.reshape(d, hh, ww, hidden).transpose(0, 3, 1, 2)
-    return [grid_t[j] for j in range(d)]
-
-
 def encode(state: WeatherState, params: dict, cfg: ModelConfig,
            source: str = PRIMARY_SOURCE) -> LatentState:
     """Lift one gridded state into the latent token grid."""
@@ -375,13 +345,14 @@ def encode(state: WeatherState, params: dict, cfg: ModelConfig,
             f"{(cfg.atmos_vars, cfg.levels, g.rows, g.cols)}")
     CALL_COUNTS["encode"] += 1
 
-    sfc = Tensor(np.concatenate([state.surface, static_fields(g)], axis=0), copy=False)
-    atm = Tensor(state.atmos)
-    plane_list = [_conv(sfc, params, f"{prefix}.stem_sfc")]
-    for pl in _fold_levels(atm, cfg):
-        plane_list.append(_conv(pl, params, f"{prefix}.stem_atm"))
-    plane_list = [_pyramid_down(pl, params, prefix) for pl in plane_list]
-    tokens = _tokens_from_planes(plane_list, cfg)
+    sfc = np.concatenate([state.surface, static_fields(g)], axis=0)[None]
+    a, p = cfg.atmos_vars, cfg.level_patch  # level group j is a (A*p, H, W) plane
+    atm = state.atmos.reshape(a, -1, p, g.rows, g.cols).transpose(1, 0, 2, 3, 4)
+    planes = ad.concat([_conv(Tensor(sfc), params, f"{prefix}.stem_sfc"),
+                        _conv(Tensor(atm.reshape(-1, a * p, g.rows, g.cols)), params,
+                              f"{prefix}.stem_atm")])
+    x = _pyramid_down(planes, params, prefix)  # (D, hidden, H/8, W/8)
+    tokens = x.transpose(0, 2, 3, 1).reshape(-1, cfg.hidden)
     ext = cfg.latent_extents
     for i in range(cfg.enc_blocks):
         tokens = natten_block(tokens, params, f"{prefix}.blk{i}", ext,
@@ -412,12 +383,13 @@ def decode(lat: LatentState, params: dict, cfg: ModelConfig) -> DecodedFields:
         x = natten_block(x, params, f"dec.blk{i}", lat.extents, cfg.window, cfg.heads)
     g = cfg.grid
     up_shapes = [(g.rows // 4, g.cols // 4), (g.rows // 2, g.cols // 2), (g.rows, g.cols)]
-    planes = _planes_from_tokens(x, lat.extents, cfg.hidden)
-    full = [_pyramid_up(pl, params, up_shapes) for pl in planes]
+    planes = x.reshape(lat.extents + (cfg.hidden,)).transpose(0, 3, 1, 2)
+    full = _pyramid_up(planes, params, up_shapes)  # (D, stem, H, W)
     surface = _conv(full[0], params, "dec.head_sfc")
-    atmos_planes = [_conv(pl, params, "dec.head_atm") for pl in full[1:]]
-    atmos = _unfold_levels(atmos_planes, cfg)
-    return DecodedFields(lat.valid_time, surface, atmos)
+    atmos = _conv(full[1:], params, "dec.head_atm").reshape(
+        -1, cfg.atmos_vars, cfg.level_patch, g.rows, g.cols).transpose(1, 0, 2, 3, 4)
+    return DecodedFields(lat.valid_time, surface,
+                         atmos.reshape(cfg.atmos_vars, cfg.levels, g.rows, g.cols))
 
 
 def blend_latents(latents: list[LatentState], weights) -> LatentState:
@@ -507,45 +479,26 @@ def shape_plan(cfg: ModelConfig) -> dict:
 # config file round trip
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "rows": int, "cols": int, "north_lat": float, "lat_step": float,
-    "lon_step": float, "south_pole_omitted": bool, "planet_radius_km": float,
-    "surface_in": int, "surface_out": int, "atmos_vars": int, "levels": int,
-    "level_patch": int, "stem_channels": int, "stage_channels": tuple,
-    "hidden": int, "heads": int, "window": tuple, "enc_blocks": int,
-    "dec_blocks": int, "proc_blocks": int, "horizons": tuple, "max_dt": int,
-}
+def _field_types(cls) -> dict:
+    """A config dataclass's fields in order, each with its value type."""
+    hints = get_type_hints(cls)
+    return {f.name: get_origin(hints[f.name]) or hints[f.name] for f in fields(cls)}
+
+
+_GRID_KEYS = _field_types(GridSpec)
+_CONFIG_KEYS = _GRID_KEYS | {k: ty for k, ty in _field_types(ModelConfig).items()
+                             if k != "grid"}
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:
-    g = cfg.grid
-    return {
-        "rows": g.rows, "cols": g.cols, "north_lat": g.north_lat,
-        "lat_step": g.lat_step, "lon_step": g.lon_step,
-        "south_pole_omitted": g.south_pole_omitted,
-        "planet_radius_km": g.planet_radius_km,
-        "surface_in": cfg.surface_in, "surface_out": cfg.surface_out,
-        "atmos_vars": cfg.atmos_vars, "levels": cfg.levels,
-        "level_patch": cfg.level_patch, "stem_channels": cfg.stem_channels,
-        "stage_channels": cfg.stage_channels, "hidden": cfg.hidden,
-        "heads": cfg.heads, "window": cfg.window,
-        "enc_blocks": cfg.enc_blocks, "dec_blocks": cfg.dec_blocks,
-        "proc_blocks": cfg.proc_blocks, "horizons": cfg.horizons,
-        "max_dt": cfg.max_dt,
-    }
+    return {k: getattr(cfg.grid if k in _GRID_KEYS else cfg, k) for k in _CONFIG_KEYS}
 
 
 def config_from_dict(d: dict) -> ModelConfig:
-    grid = GridSpec(
-        rows=d["rows"], cols=d["cols"], north_lat=d["north_lat"],
-        lat_step=d["lat_step"], lon_step=d["lon_step"],
-        south_pole_omitted=d["south_pole_omitted"],
-        planet_radius_km=d["planet_radius_km"])
     # JSON hands tuples back as lists
     kwargs = {k: tuple(v) if _CONFIG_KEYS[k] is tuple else v for k, v in d.items()
-              if k in _CONFIG_KEYS and k not in
-              ("rows", "cols", "north_lat", "lat_step", "lon_step",
-               "south_pole_omitted", "planet_radius_km")}
+              if k in _CONFIG_KEYS}
+    grid = GridSpec(**{k: kwargs.pop(k) for k in _GRID_KEYS})
     return ModelConfig(grid=grid, **kwargs)
 
 

@@ -87,7 +87,8 @@ class WeatherDataset:
 
     truth holds (surface_out + atmos_vars*levels) planes per time; each
     source holds (surface_in + atmos_vars*levels) planes. Everything is
-    float32 at rest and widened to float64 on extraction.
+    float32 at rest and widened to float64 on extraction.  truth and sources
+    are made read-only, so the memoized plane_sigmas cannot go stale.
     """
     grid: GridSpec
     surface_in: int
@@ -114,6 +115,9 @@ class WeatherDataset:
         for s in self.sources:
             if s.shape != (t, n_in, h, w) or s.dtype != np.float32:
                 raise DataError(f"source block must be float32 {(t, n_in, h, w)}")
+        for block in (self.truth, *self.sources):
+            block.flags.writeable = False
+        self._sigmas = None  # plane_sigmas, once computed
 
     @property
     def n_times(self) -> int:
@@ -146,10 +150,15 @@ class WeatherDataset:
         return arr[:n_sfc], arr[n_sfc:].reshape(self.atmos_vars, self.levels, *arr.shape[1:])
 
     def plane_sigmas(self) -> np.ndarray:
-        """Per-truth-plane standard deviation over all times; floored away from 0."""
-        flat = self.truth.reshape(self.n_times, self.truth.shape[1], -1)
-        sig = flat.astype(np.float64).std(axis=(0, 2))
-        return np.maximum(sig, 1e-6)
+        """Per-truth-plane standard deviation over all times; floored away from 0.
+
+        Computed on the first call; every call returns the same read-only array.
+        """
+        if self._sigmas is None:
+            flat = self.truth.reshape(self.n_times, self.truth.shape[1], -1)
+            self._sigmas = np.maximum(flat.astype(np.float64).std(axis=(0, 2)), 1e-6)
+            self._sigmas.flags.writeable = False
+        return self._sigmas
 
 
 def generate_dataset(grid: GridSpec, surface_in: int, surface_out: int,

@@ -204,6 +204,8 @@ class TestForward:
             ad.concat([], axis=0)
         with pytest.raises(ShapeError):
             t(np.ones((2, 2))).reshape(5)
+        with pytest.raises(ShapeError):  # neither (C, H, W) nor (B, C, H, W)
+            ad.conv(t(np.ones((1, 2, 3, 4, 5))), t(np.ones((1, 3, 3, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +573,53 @@ def test_im2col_bitwise_on_every_desk_plan():
 @example(((1, 2), (2, 2), (1, 1), ((0, 0), (0, 0)), (True, True)), 1, 0)  # kernel > wrapped extent
 def test_im2col_bitwise_on_random_geometries(key, c_in, seed):
     _assert_im2col_matches_reference(key, c_in, np.random.default_rng(seed))
+
+
+def _batch_vs_loop(op, x_batch, w, b, seed, **geo):
+    """op over a batch and over its entries one at a time, differentiated alike.
+
+    Returns (batched, looped) tuples of output, input gradient, weight
+    gradient and bias gradient.  The looped gradients are what backward sums
+    over the B unbatched nodes, reached newest first.
+    """
+    runs = []
+    for batched in (True, False):
+        xt, wt, bt = t(x_batch), t(w), t(b)
+        if batched:
+            y = op(xt, wt, bt, **geo)
+            grads = backward(y, seed=seed)
+            gx = grads[xt]
+        else:
+            parts = [t(xi) for xi in x_batch]
+            ys = [op(p, wt, bt, **geo) for p in parts]
+            y = ad.concat([yi.reshape((1,) + yi.shape) for yi in ys])
+            grads = backward(y, seed=seed)
+            gx = np.stack([grads[p] for p in parts])
+        runs.append((y.values, gx, grads[wt], grads[bt]))
+    return runs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_geometries(), st.integers(1, 3), st.integers(0, 2 ** 31))
+@example(((6, 8), (3, 3), (2, 2), ((1, 1), (0, 0)), (False, True)), 3, 0)
+def test_batched_conv_matches_unbatched_loop(key, batch, seed):
+    extents, kernel, stride, pads, wrap = key
+    rng = np.random.default_rng(seed)
+    c1, c2 = 3, 2
+    geo = dict(stride=stride, pads=pads, wrap=wrap)
+    wf = rng.standard_normal((c2, c1) + kernel)
+    outs = ad._conv_plan(extents, kernel, stride, pads, wrap).outs
+    cases = [
+        (ad.conv, rng.standard_normal((batch, c1) + extents), rng.standard_normal(c2),
+         rng.standard_normal((batch, c2) + outs), geo),
+        # the transpose's weight is (C_in, C_out, *K) = (c2, c1, *K)
+        (ad.conv_transpose, rng.standard_normal((batch, c2) + outs), rng.standard_normal(c1),
+         rng.standard_normal((batch, c1) + extents), dict(geo, out_extents=extents)),
+    ]
+    for op, xb, bias, gy, kw in cases:
+        got, want = _batch_vs_loop(op, xb, wf, bias, gy, **kw)
+        for name, a, b in zip(("output", "input grad", "weight grad", "bias grad"), got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (op.__name__, name, key)
 
 
 @pytest.mark.parametrize("idx", [np.random.default_rng(3).integers(0, 5, (6, 7)),

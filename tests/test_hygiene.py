@@ -1,5 +1,6 @@
-"""Source hygiene: no module in gridcast imports a name it never uses, and
-every name a module exports in __all__ is one it defines or imports."""
+"""Source hygiene: no module in gridcast imports a name it never uses, every
+name a module exports in __all__ is one it defines or imports, and every
+function, class and method it defines is referenced somewhere in the repo."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,58 @@ def test_export_checker_finds_stale_names():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_exports_are_defined(path):
     assert stale_exports(path.read_text()) == []
+
+
+ROOT = SRC.parents[1]
+REFERENCING = sorted(p for d in ("src", "tests", "demos", "perfbench")
+                     for p in (ROOT / d).rglob("*.py"))
+
+
+def definitions(source: str) -> list[str]:
+    """Top-level functions and classes of a module, and their classes' methods.
+
+    Dunder methods are left out: Python calls them, not the code.
+    """
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{m.name}" for m in node.body
+                      if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return found
+
+
+def references(source: str) -> set[str]:
+    """Every name a module reads, as a name, an attribute, an import or a string.
+
+    Strings count because perfbench's tracer names the methods it wraps.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update((node.name.rsplit(".", 1)[-1], node.asname))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_definition_checker():
+    src = ("class K:\n    def __init__(self): pass\n    def m(self): pass\n"
+           "def f(): pass\nasync def g(): pass\nX = 1\n")
+    assert definitions(src) == ["K", "K.m", "f", "g"]
+    assert references("from a.b import c as d\nimport e.f\nx.y('z')\n") >= {
+        "c", "d", "f", "x", "y", "z"}
+
+
+def test_every_definition_is_referenced():
+    used = set().union(*(references(p.read_text()) for p in REFERENCING))
+    unused = [f"{path.name}: {name}" for path in ALL_MODULES
+              for name in definitions(path.read_text())
+              if name.rsplit(".", 1)[-1] not in used]
+    assert unused == []

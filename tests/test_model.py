@@ -1,5 +1,6 @@
 """Model: shapes, determinism, blending, config round trip, dry-run plan."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import gridcast.autodiff as ad
 import gridcast.model as gm
-from gridcast.attention import init_block_params
+from gridcast import training
+from gridcast.attention import init_block_params, natten_block
 from gridcast.autodiff import Tensor, backward
 from gridcast.errors import ConfigError
+from gridcast.grid import GridSpec, static_fields
 from gridcast.model import (
     LatentState,
     WeatherState,
@@ -29,6 +32,7 @@ from gridcast.model import (
     source_stream,
     tiny_config,
 )
+from gridcast.synthdata import generate_dataset
 
 RNG = np.random.default_rng(2024)
 
@@ -83,6 +87,20 @@ class TestConfig:
         text = path.read_text()
         assert "rows = 40" in text
         assert "window = 3,3,3" in text
+
+    def test_desk_file_text_and_keys(self, tmp_path):
+        path = tmp_path / "desk.cfg"
+        save_config(path, desk_config())
+        assert path.read_text() == (
+            "rows = 40\ncols = 80\nnorth_lat = 90.0\nlat_step = 4.5\nlon_step = 4.5\n"
+            "south_pole_omitted = true\nplanet_radius_km = 6371.0\nsurface_in = 4\n"
+            "surface_out = 6\natmos_vars = 3\nlevels = 8\nlevel_patch = 4\n"
+            "stem_channels = 16\nstage_channels = 24,32,48\nhidden = 48\nheads = 4\n"
+            "window = 3,3,3\nenc_blocks = 2\ndec_blocks = 2\nproc_blocks = 4\n"
+            "horizons = 1,6\nmax_dt = 336\n")
+        fields = [f.name for cls in (GridSpec, gm.ModelConfig)
+                  for f in dataclasses.fields(cls) if f.name != "grid"]
+        assert list(config_to_dict(desk_config())) == fields
 
     def test_load_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -198,25 +216,103 @@ class TestForwardShapes:
         assert gm.CALL_COUNTS == {"encode": 1, "process6": 1, "process1": 0, "decode": 0}
 
 
-class TestLevelFolding:
-    def test_fold_unfold_inverse(self):
-        cfg = tiny_config()
-        x = Tensor(RNG.standard_normal((cfg.atmos_vars, cfg.levels, 4, 6)))
-        planes = gm._fold_levels(x, cfg)
-        assert len(planes) == cfg.levels // cfg.level_patch
-        assert planes[0].shape == (cfg.atmos_vars * cfg.level_patch, 4, 6)
-        back = gm._unfold_levels(planes, cfg)
-        np.testing.assert_array_equal(back.values, x.values)
+# The per-plane design the batched pyramid replaced: Python lists of depth
+# planes and one unbatched pyramid call per plane.  Kept as the oracle.
 
-    def test_token_plane_round_trip(self):
-        cfg = tiny_config()
-        d, h, w = 3, 4, 5
-        planes = [Tensor(RNG.standard_normal((cfg.hidden, h, w))) for _ in range(d)]
-        tok = gm._tokens_from_planes(planes, cfg)
-        assert tok.shape == (d * h * w, cfg.hidden)
-        back = gm._planes_from_tokens(tok, (d, h, w), cfg.hidden)
-        for a, b in zip(planes, back):
-            np.testing.assert_array_equal(a.values, b.values)
+def _fold_levels(atmos, cfg):
+    """(A, L, H, W) -> one (A*patch, H, W) tensor per level group."""
+    a, l, h, w = atmos.shape
+    g = l // cfg.level_patch
+    planes = atmos.reshape(a, g, cfg.level_patch, h, w).transpose(1, 0, 2, 3, 4)
+    return [planes[j].reshape(a * cfg.level_patch, h, w) for j in range(g)]
+
+
+def _unfold_levels(planes, cfg):
+    """Inverse of _fold_levels: list of (A*patch, H, W) -> (A, L, H, W)."""
+    g = len(planes)
+    h, w = planes[0].shape[-2:]
+    stacked = ad.concat([pl.reshape(1, cfg.atmos_vars, cfg.level_patch, h, w)
+                         for pl in planes], axis=0)
+    return stacked.transpose(1, 0, 2, 3, 4).reshape(
+        cfg.atmos_vars, g * cfg.level_patch, h, w)
+
+
+def _tokens_from_planes(planes):
+    d = len(planes)
+    c, hh, ww = planes[0].shape
+    stacked = ad.concat([pl.reshape(1, c, hh, ww) for pl in planes], axis=0)
+    return stacked.transpose(0, 2, 3, 1).reshape(d * hh * ww, c)
+
+
+def _planes_from_tokens(tokens, extents, hidden):
+    d, hh, ww = extents
+    grid_t = tokens.reshape(d, hh, ww, hidden).transpose(0, 3, 1, 2)
+    return [grid_t[j] for j in range(d)]
+
+
+def _per_plane_encode(state, params, cfg, source=gm.PRIMARY_SOURCE):
+    prefix = gm.encoder_prefix(source)
+    sfc = Tensor(np.concatenate([state.surface, static_fields(cfg.grid)], axis=0))
+    planes = [gm._conv(sfc, params, f"{prefix}.stem_sfc")]
+    planes += [gm._conv(pl, params, f"{prefix}.stem_atm")
+               for pl in _fold_levels(Tensor(state.atmos), cfg)]
+    tokens = _tokens_from_planes([gm._pyramid_down(pl, params, prefix) for pl in planes])
+    for i in range(cfg.enc_blocks):
+        tokens = natten_block(tokens, params, f"{prefix}.blk{i}", cfg.latent_extents,
+                              cfg.window, cfg.heads)
+    return LatentState(tokens, state.valid_time, cfg.latent_extents)
+
+
+def _per_plane_decode(lat, params, cfg):
+    x = lat.tokens
+    for i in range(cfg.dec_blocks):
+        x = natten_block(x, params, f"dec.blk{i}", lat.extents, cfg.window, cfg.heads)
+    g = cfg.grid
+    up_shapes = [(g.rows // 4, g.cols // 4), (g.rows // 2, g.cols // 2), (g.rows, g.cols)]
+    full = [gm._pyramid_up(pl, params, up_shapes)
+            for pl in _planes_from_tokens(x, lat.extents, cfg.hidden)]
+    surface = gm._conv(full[0], params, "dec.head_sfc")
+    atmos = _unfold_levels([gm._conv(pl, params, "dec.head_atm") for pl in full[1:]], cfg)
+    return gm.DecodedFields(lat.valid_time, surface, atmos)
+
+
+class TestPlaneBatch:
+    """encode and decode run the pyramid once over a batch of depth planes,
+    bitwise equal to one unbatched pyramid per plane."""
+
+    def test_encode_decode_match_per_plane_oracle(self, tiny):
+        cfg, params = tiny
+        state = random_state(cfg, seed=4)
+        lat = encode(state, params, cfg)
+        want = _per_plane_encode(state, params, cfg)
+        assert lat.tokens.values.tobytes() == want.tokens.values.tobytes()
+        out, ref = decode(lat, params, cfg), _per_plane_decode(lat, params, cfg)
+        assert out.surface.values.tobytes() == ref.surface.values.tobytes()
+        assert out.atmos.values.tobytes() == ref.atmos.values.tobytes()
+
+    def test_desk_train_step_matches_per_plane_oracle(self, monkeypatch):
+        cfg = desk_config()
+        ds = generate_dataset(cfg.grid, cfg.surface_in, cfg.surface_out, cfg.atmos_vars,
+                              cfg.levels, hours=12, seed=1)
+        params = init_model_params(cfg, seed=1, zero_residual=False)
+        names = sorted(params)
+
+        def step():
+            ad.reset_tape_stats()
+            loss = training.train_step(params, cfg, ds, (0, 6, 12), 0, ds.plane_sigmas())
+            stats = ad.tape_stats()
+            nodes, peak = stats.nodes_created, stats.saved_bytes_peak
+            grads = backward(loss, leaves=[params[k] for k in names])
+            return [loss.values] + [grads[params[k]] for k in names], nodes, peak
+
+        got, nodes, peak = step()
+        monkeypatch.setattr(training, "encode", _per_plane_encode)
+        monkeypatch.setattr(training, "decode", _per_plane_decode)
+        want, want_nodes, want_peak = step()
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        # one conv node per layer instead of one per plane, same pinned bytes
+        assert (nodes, want_nodes) == (432, 664)
+        assert peak == want_peak
 
 
 class TestBlend:

@@ -51,6 +51,16 @@ class TestGenerate:
         sig = ds.plane_sigmas()
         assert np.all(sig > 0.2) and np.all(sig < 3.0)
 
+    def test_plane_sigmas_computed_once_and_read_only(self):
+        ds = small_ds(n_sources=2)
+        sig = ds.plane_sigmas()
+        assert ds.plane_sigmas() is sig
+        flat = ds.truth.reshape(ds.n_times, ds.truth.shape[1], -1).astype(np.float64)
+        assert sig.tobytes() == np.maximum(flat.std(axis=(0, 2)), 1e-6).tobytes()
+        for block in (sig, ds.truth, *ds.sources):
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 0.0
+
     def test_hourly_correlation_high_and_decays(self):
         ds = generate_dataset(TINY_GRID, 1, 3, 1, 3, hours=317, seed=9)
         f = ds.truth.reshape(318, 6, -1).astype(np.float64)

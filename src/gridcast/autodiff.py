@@ -17,7 +17,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -661,25 +660,28 @@ def neighborhood_weights(qkv: np.ndarray, table: np.ndarray, cos: np.ndarray, si
 
 
 # ---------------------------------------------------------------------------
-# convolution: cached slab plans for im2col and col2im
+# convolution: one GEMM per kernel tap on a padded buffer
 # ---------------------------------------------------------------------------
 
-_PLAN_CACHE: dict = {}
+class _Geometry(NamedTuple):
+    """A 2-D conv from input (H, W) to output (Ho, Wo), by polyphase spans.
 
-
-class _ConvPlan(NamedTuple):
-    """Slices that lower one conv geometry to a (C*K, P) column matrix.
-
-    The columns are channel-tap-major: row c*K + k holds tap k of channel c
-    at every output cell p, with K and P enumerating (k...) and (out...) in
-    C order.  Tap k of output o reads padded position o*stride + k on each
-    axis.
+    Each batch entry is padded once into a (C, s*Hq, s*Wq) buffer and split
+    into its s*s stride phases, phase (a, b) = buffer[:, a::s, b::s] read
+    flat.  Tap (i, j) of output (oy, ox) reads padded cell
+    (oy*s + i, ox*s + j), which is position (i//s)*Wq + j//s + oy*Wq + ox of
+    phase (i % s, j % s).  So every tap is one GEMM over a contiguous span of
+    `span` elements of one phase; span element oy*Wq + ox serves output
+    (oy, ox), and those with ox >= Wo fall between output rows and are
+    computed, then cropped.  At stride 1 the one phase is the buffer.
     """
-    outs: tuple  # output extents
-    padded: tuple  # extents of the padded input the taps read
-    pad_copies: tuple  # (padded index, input index) pairs
-    taps: tuple  # per tap k, the index of its strided slab in the padded input
-    slabs: tuple  # (cell index, column index) per col2im add, in add order
+    extents: tuple  # input (H, W)
+    kernel: tuple  # (kh, kw)
+    stride: int
+    outs: tuple  # output (Ho, Wo)
+    runs: tuple  # per axis, the pad runs of _axis_runs
+    phase: tuple  # (Hq, Wq), the padded extents over the stride, rounded up
+    span: int  # (Ho - 1)*Wq + Wo
 
 
 def _axis_runs(extent: int, kernel: int, stride: int, pad_pair: tuple[int, int], wrap: bool):
@@ -687,239 +689,193 @@ def _axis_runs(extent: int, kernel: int, stride: int, pad_pair: tuple[int, int],
 
     A run (q, cell, n) places input cells cell..cell+n-1 at padded positions
     q..q+n-1; positions in no run are zero pads.  A wrapped axis (circular
-    longitude, centred taps) holds cell (q - lead) mod extent at q and splits
-    a run wherever that wraps; an unwrapped axis holds the input once, after
-    its leading pad.
+    longitude, centred taps) holds cell (q - lead) mod extent at every q and
+    splits a run wherever that wraps; an unwrapped axis holds the input once,
+    after its leading pad.
     """
-    if wrap:
-        if extent % stride != 0:
-            raise ShapeError(f"conv: wrapped extent {extent} not divisible by stride {stride}")
-        out, lead = extent // stride, (kernel - 1) // 2
-    else:
-        lead = pad_pair[0]
-        out = (extent + lead + pad_pair[1] - kernel) // stride + 1
-        if out <= 0:
-            raise ShapeError(f"conv: kernel {kernel} too large for extent {extent} with pads {pad_pair}")
+    lead, trail = ((kernel - 1) // 2, kernel // 2) if wrap else pad_pair
+    if wrap and extent % stride != 0:
+        raise ShapeError(f"conv: wrapped extent {extent} not divisible by stride {stride}")
+    out = (extent + lead + trail - kernel) // stride + 1
+    if out <= 0:
+        raise ShapeError(f"conv: kernel {kernel} too large for extent {extent} with pads {pad_pair}")
     padded = (out - 1) * stride + kernel
+    q, end = (0, padded) if wrap else (lead, min(padded, lead + extent))
     runs = []
-    if wrap:
-        q = 0
-        while q < padded:
-            cell = (q - lead) % extent
-            n = min(extent - cell, padded - q)
-            runs.append((q, cell, n))
-            q += n
-    elif padded > lead:
-        runs.append((lead, 0, min(extent, padded - lead)))
+    while q < end:
+        cell = (q - lead) % extent
+        runs.append((q, cell, min(extent - cell, end - q)))
+        q += runs[-1][2]
     return out, padded, runs
 
 
-def _tap_runs(t: int, stride: int, out: int, runs):
-    """col2im runs of tap t on one axis: (order key, cell slice, out slice).
-
-    Outputs lo..hi-1 of the tap land in one pad run, so on cells spaced by
-    the stride.  The key d - t, with d = q - cell the run's offset, grows
-    with the output index o = (cell + d - t) / stride that any one cell
-    receives from the run.
-    """
-    found = []
-    for q, cell, n in runs:
-        lo = max(0, -((t - q) // stride))
-        hi = min(out, -((t - q - n) // stride))
-        if lo < hi:
-            c0 = cell + t + lo * stride - q
-            found.append((q - cell - t, slice(c0, c0 + (hi - lo - 1) * stride + 1, stride),
-                          slice(lo, hi)))
-    return found
-
-
-def _conv_plan(extents, kernel, stride, pads, wrap) -> _ConvPlan:
-    """Cached _ConvPlan of one geometry; holds slices only, no index arrays.
-
-    im2col pads the input with pad_copies, then copies one strided slab per
-    tap.  col2im adds one slab per combination of per-axis tap runs: one per
-    tap on an unwrapped axis, at most two on a wrapped one, where a tap's
-    outputs span less than one extent.
-    Slab order contract: every cell sums its contributions from +0.0 by
-    ascending output index p, then ascending tap k, the order of an
-    np.add.at scatter.  Hence the slabs are sorted by every axis's run key
-    first, then by the taps; on an unwrapped axis that is descending taps.
-    Sorting axis by axis, key then tap, is wrong once a kernel is wider than
-    a wrapped extent.
-    """
-    key = (tuple(extents), tuple(kernel), tuple(stride), tuple(pads), tuple(wrap))
-    hit = _PLAN_CACHE.get(key)
-    if hit is not None:
-        return hit
-    axes = [_axis_runs(*args) for args in zip(*key)]
-    outs = tuple(a[0] for a in axes)
-    padded = tuple(a[1] for a in axes)
-    pad_copies = tuple(
-        ((slice(None),) + tuple(slice(q, q + n) for q, _, n in combo),
-         (slice(None),) + tuple(slice(c, c + n) for _, c, n in combo))
-        for combo in itertools.product(*(runs for _, _, runs in axes)))
-    tap_grid = list(itertools.product(*(range(k) for k in kernel)))
-    taps = tuple((slice(None),) + tuple(slice(t, t + (o - 1) * s + 1, s)
-                                        for t, s, o in zip(tap, stride, outs))
-                 for tap in tap_grid)
-    ordered = []
-    for k, tap in enumerate(tap_grid):
-        per_axis = [_tap_runs(t, s, o, runs)
-                    for t, s, (o, _, runs) in zip(tap, stride, axes)]
-        for combo in itertools.product(*per_axis):
-            order = tuple(r[0] for r in combo) + tap
-            cells = (slice(None),) + tuple(r[1] for r in combo)
-            col = (slice(None), k) + tuple(r[2] for r in combo)
-            ordered.append((order, cells, col))
-    ordered.sort(key=lambda r: r[0])
-    plan = _ConvPlan(outs, padded, pad_copies, taps, tuple(r[1:] for r in ordered))
-    _PLAN_CACHE[key] = plan
-    return plan
-
-
-def _conv_args(op, x, w, b, in_axis, stride, pads, wrap):
-    """Check a conv's operands, w's input channels on in_axis; n is the spatial rank."""
+def _conv_args(op, x, w, b, in_axis, extents, stride, pads, wrap) -> _Geometry:
+    """Check a conv's operands, w's input channels on in_axis; the geometry from extents."""
     x._check_alive(op)
     w._check_alive(op)
-    n = w.values.ndim - 2
-    if n not in (2, 3):
-        raise ShapeError(f"{op}: expected 2 or 3 spatial dims, got weight shape {w.shape}")
-    c_in, c_out = w.shape[in_axis], w.shape[1 - in_axis]
-    if x.values.ndim not in (n + 1, n + 2):
-        raise ShapeError(f"{op}: input shape {x.shape} is not ([B,] C, *S) for {n} spatial dims")
-    if x.shape[-n - 1] != c_in:
-        raise ShapeError(f"{op}: input channels {x.shape[-n - 1]} != weight channels {c_in}")
-    if b is not None and b.shape != (c_out,):
-        raise ShapeError(f"{op}: bias {b.shape} must be ({c_out},)")
-    stride = (stride,) * n if isinstance(stride, int) else tuple(stride)
-    if pads is None:
-        pads = ((0, 0),) * n
-    pads = tuple((p, p) if isinstance(p, int) else tuple(p) for p in pads)
-    wrap = (False,) * n if wrap is None else tuple(wrap)
-    if not (len(stride) == len(pads) == len(wrap) == n):
-        raise ShapeError(f"{op}: stride/pads/wrap must have {n} entries")
-    return n, c_in, c_out, stride, pads, wrap
+    if w.values.ndim != 4:
+        raise ShapeError(f"{op}: expected a 2-D kernel, got weight shape {w.shape}")
+    if x.values.ndim not in (3, 4):
+        raise ShapeError(f"{op}: input shape {x.shape} is not ([B,] C, H, W)")
+    if x.shape[-3] != w.shape[in_axis]:
+        raise ShapeError(f"{op}: input channels {x.shape[-3]} != weight channels {w.shape[in_axis]}")
+    if b is not None and b.shape != (w.shape[1 - in_axis],):
+        raise ShapeError(f"{op}: bias {b.shape} must be ({w.shape[1 - in_axis]},)")
+    strides = tuple(stride) if np.ndim(stride) else (stride, stride)
+    if len(strides) != 2 or strides[0] != strides[1] or strides[0] < 1:
+        raise ShapeError(f"{op}: stride {stride} must be one positive int shared by both axes")
+    pads = ((0, 0),) * 2 if pads is None else tuple(tuple(p) for p in pads)
+    wrap = (False, False) if wrap is None else tuple(wrap)
+    if len(pads) != 2 or len(wrap) != 2:
+        raise ShapeError(f"{op}: pads and wrap must have 2 entries")
+    s = int(strides[0])
+    outs, padded, runs = zip(*map(_axis_runs, extents, w.shape[2:], (s, s), pads, wrap))
+    phase = (-(-padded[0] // s), -(-padded[1] // s))
+    return _Geometry(tuple(extents), w.shape[2:], s, outs, runs, phase,
+                     (outs[0] - 1) * phase[1] + outs[1])
 
 
-def _gather_cols(xv: np.ndarray, plan: _ConvPlan) -> np.ndarray:
-    """im2col: (C, *S) -> (C*K, P) column matrix, one strided slab copy per tap.
+def _blocks(geo: _Geometry):
+    """(padded block, input block) index pairs, one per row run and column run."""
+    for qr, cr, nr in geo.runs[0]:
+        for qc, cc, nc in geo.runs[1]:
+            yield ((slice(None), slice(qr, qr + nr), slice(qc, qc + nc)),
+                   (slice(None), slice(cr, cr + nr), slice(cc, cc + nc)))
 
-    The input is padded once, into a zeroed buffer, by slice copies; taps
-    outside an unwrapped axis read those +0.0 pads.
+
+def _taps(geo: _Geometry):
+    """(i, j, p, slice) per tap: its span is phases[p][:, slice]."""
+    s, wq = geo.stride, geo.phase[1]
+    for i in range(geo.kernel[0]):
+        for j in range(geo.kernel[1]):
+            start = i // s * wq + j // s
+            yield i, j, i % s * s + j % s, slice(start, start + geo.span)
+
+
+def _phases(xv: np.ndarray, geo: _Geometry) -> np.ndarray:
+    """(C, H, W) padded along the runs, zeros elsewhere: (s*s, C, Hq*Wq) stride phases.
+
+    Every span is then a contiguous BLAS operand; at stride 1 this pads and
+    copies nothing more.
     """
-    c = xv.shape[0]
-    xp = np.zeros((c,) + plan.padded)
-    for dst, src in plan.pad_copies:
+    c, s, (hq, wq) = xv.shape[0], geo.stride, geo.phase
+    xp = np.zeros((c, s * hq, s * wq))
+    for dst, src in _blocks(geo):
         xp[dst] = xv[src]
-    cols = np.empty((c, len(plan.taps)) + plan.outs)
-    for k, tap in enumerate(plan.taps):
-        cols[:, k] = xp[tap]
-    return cols.reshape(c * len(plan.taps), -1)
+    return np.ascontiguousarray(
+        xp.reshape(c, hq, s, wq, s).transpose(2, 4, 0, 1, 3)).reshape(s * s, c, hq * wq)
 
 
-def _scatter_cols(gcols: np.ndarray, c_in: int, extents, plan: _ConvPlan) -> np.ndarray:
-    """col2im: (C*K, P) -> (C, *S) scatter-add, the adjoint of _gather_cols.
+def _spread(g: np.ndarray, geo: _Geometry) -> np.ndarray:
+    """(C, Ho, Wo) -> (C, span) in span layout: row pitch Wq, zeros between rows."""
+    (ho, wo), wq = geo.outs, geo.phase[1]
+    flat = np.zeros((g.shape[0], ho * wq))
+    flat.reshape(-1, ho, wq)[:, :, :wo] = g
+    return flat[:, :geo.span]
 
-    Strided slab adds in the plan's order, so every cell is bitwise what an
-    np.add.at scatter in (p, k) order gives; pad taps are dropped.
+
+def _correlate(phases: np.ndarray, wt: np.ndarray, geo: _Geometry) -> np.ndarray:
+    """Sum over taps of wt[i, j] @ span, cropped to (C_o, Ho, Wo); wt is (kh, kw, C_o, C_i)."""
+    (ho, wo), wq = geo.outs, geo.phase[1]
+    out = np.zeros((wt.shape[2], ho * wq))
+    for i, j, p, sl in _taps(geo):
+        out[:, :geo.span] += wt[i, j] @ phases[p][:, sl]
+    return out.reshape(-1, ho, wq)[:, :, :wo]
+
+
+def _correlate_adjoint(span: np.ndarray, wt: np.ndarray, geo: _Geometry) -> np.ndarray:
+    """Adjoint of _correlate after _phases: (C_o, span) -> (C_i, H, W).
+
+    wt[i, j].T @ span is added onto each tap's span of zeroed phases, which
+    interleave back into the padded buffer; its runs are then added back
+    onto the input cells.
     """
-    vals = gcols.reshape((c_in, len(plan.taps)) + plan.outs)
-    out = np.zeros((c_in,) + tuple(extents))
-    for cells, col in plan.slabs:
-        dst = out[cells]
-        np.add(dst, vals[col], out=dst)
+    c, s, (hq, wq) = wt.shape[3], geo.stride, geo.phase
+    phases = np.zeros((s * s, c, hq * wq))
+    for i, j, p, sl in _taps(geo):
+        phases[p][:, sl] += wt[i, j].T @ span
+    xp = phases.reshape(s, s, c, hq, wq).transpose(2, 3, 0, 4, 1).reshape(c, s * hq, s * wq)
+    out = np.zeros((c,) + geo.extents)
+    for src, dst in _blocks(geo):
+        out[dst] += xp[src]
     return out
 
 
-def conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads=None, wrap=None) -> Tensor:
-    """N-d convolution (N = 2 or 3), channels-first.
+def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor | None, geo: _Geometry,
+               transposed: bool) -> Tensor:
+    """Tape node of conv, or of conv_transpose when transposed; entries one at a time.
 
-    x: ([B,] C_in, *S), batched when its rank says so; w: (C_out, C_in, *K).
-    Wrapped axes convolve circularly with centered taps, other axes honor
-    explicit (before, after) zero pads.  Each batch entry gets its own im2col
-    and GEMM; one stacked GEMM over the batch is slower.  The backward hands
-    acc the entries' weight and bias gradients last entry first, the order a
-    sweep reaches B unbatched convs in, so every sum is bitwise theirs.
+    conv_transpose is the adjoint of the conv that geo describes: its
+    forward is that conv's input gradient, and its input gradient is that
+    conv's forward.  Either way the weight gradient pairs the spread small
+    side with the phases of the big side.  The backward hands acc the entries' weight and bias
+    gradients last entry first, the order a sweep reaches B unbatched convs
+    in, so every sum is bitwise theirs.
     """
-    n, c_in, c_out, stride, pads, wrap = _conv_args("conv", x, w, b, 1, stride, pads, wrap)
-    plan = _conv_plan(x.shape[-n:], w.shape[2:], stride, pads, wrap)
-    outs = plan.outs
-    wmat = w.values.reshape(c_out, -1)
-    out = np.empty(x.shape[:-n - 1] + (c_out,) + outs)
-    # The GEMMs here and in the rule take the columns as a transposed view, so
-    # BLAS sees the operand roles of a (P, C_in*K) im2col; swapping the roles
-    # (wmat @ cols) rounds differently on some shapes.
-    for xi, oi in zip(x.values.reshape((-1,) + x.shape[-n - 1:]), out.reshape((-1, c_out) + outs)):
-        y = _gather_cols(xi, plan).T @ wmat.T  # (P, C_out)
-        if b is not None:
-            y += b.values
-        oi[...] = y.reshape(outs + (c_out,)).transpose((n,) + tuple(range(n)))
-
-    parents = (x, w) if b is None else (x, w, b)
+    wt = np.ascontiguousarray(w.values.transpose(2, 3, 0, 1))  # (kh, kw, small C, big C)
+    c_out = w.shape[int(transposed)]
+    out_s = geo.extents if transposed else geo.outs
+    out = np.empty(x.shape[:-3] + (c_out,) + out_s)
+    for xi, oi in zip(x.values.reshape((-1,) + x.shape[-3:]), out.reshape((-1, c_out) + out_s)):
+        oi[...] = (_correlate_adjoint(_spread(xi, geo), wt, geo) if transposed
+                   else _correlate(_phases(xi, geo), wt, geo))
+    if b is not None:
+        out += b.values[:, None, None]
 
     def rule(g, saved, acc):
         (xv,) = saved
-        xb = xv.reshape((-1,) + xv.shape[-n - 1:])
-        gb = g.reshape(len(xb), c_out, -1)  # (B, C_out, P)
+        xb = xv.reshape((-1,) + xv.shape[-3:])
+        gb = g.reshape((len(xb), c_out) + out_s)
         gx = np.empty(xb.shape) if x.requires_grad else None  # the stems' input is data
         for i in reversed(range(len(xb))):
-            acc(w, (gb[i] @ _gather_cols(xb[i], plan).T).reshape(w.shape))
+            small, big = (xb[i], gb[i]) if transposed else (gb[i], xb[i])
+            span, phases = _spread(small, geo), _phases(big, geo)
+            gw = np.empty(w.shape)  # span @ tap span.T per tap
+            for ti, tj, p, sl in _taps(geo):
+                gw[:, :, ti, tj] = span @ phases[p][:, sl].T
+            acc(w, gw)
             if b is not None:
-                acc(b, gb[i].T.sum(axis=0))
+                acc(b, gb[i].reshape(c_out, -1).T.sum(axis=0))
             if gx is not None:
-                gx[i] = _scatter_cols(wmat.T @ gb[i], c_in, xv.shape[-n:], plan)
+                gx[i] = (_correlate(phases, wt, geo) if transposed
+                         else _correlate_adjoint(span, wt, geo))
         if gx is not None:
             acc(x, gx.reshape(xv.shape))
 
-    return _record("conv", out, parents, (x.values,), rule)
+    return _record(op, out, (x, w) if b is None else (x, w, b), (x.values,), rule)
+
+
+def conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads=None, wrap=None) -> Tensor:
+    """2-D convolution, channels-first, with one stride for both axes.
+
+    x: ([B,] C_in, H, W), batched when its rank says so; w: (C_out, C_in, kh, kw).
+    A wrapped axis convolves circularly with centred taps; an unwrapped one
+    honours explicit (before, after) zero pads.  Each batch entry is padded
+    once and convolved by one GEMM per tap, as _Geometry lays out; one flat
+    GEMM over the whole batch is slower.
+    """
+    geo = _conv_args("conv", x, w, b, 1, x.shape[-2:], stride, pads, wrap)
+    return _conv_node("conv", x, w, b, geo, transposed=False)
 
 
 def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads=None,
                    wrap=None, out_extents=None) -> Tensor:
-    """Transposed N-d convolution: the exact adjoint of `conv`'s input map.
+    """Transposed 2-D convolution: the exact adjoint of `conv`'s input map.
 
-    x: ([B,] C_in, *S_small); w: (C_in, C_out, *K); output
-    ([B,] C_out, *out_extents), where conv(out_extents -> S_small) under the
-    same kernel/stride/pads/wrap geometry must reproduce S_small.  Batch
-    entries and their gradients run as in conv.
+    x: ([B,] C_in, h, w); w: (C_in, C_out, kh, kw); output
+    ([B,] C_out, *out_extents), where conv(out_extents -> (h, w)) under the
+    same kernel/stride/pads/wrap geometry must reproduce (h, w).  It runs
+    conv's kernels with the roles swapped; batch entries and their gradients
+    run as in conv.
     """
-    n, c_in, c_out, stride, pads, wrap = _conv_args("conv_transpose", x, w, b, 0, stride,
-                                                    pads, wrap)
     if out_extents is None:
         raise ShapeError("conv_transpose: out_extents is required")
-    out_extents = tuple(out_extents)
-    plan = _conv_plan(out_extents, w.shape[2:], stride, pads, wrap)
-    if plan.outs != x.shape[-n:]:
+    geo = _conv_args("conv_transpose", x, w, b, 0, tuple(out_extents), stride, pads, wrap)
+    if geo.outs != x.shape[-2:]:
         raise ShapeError(
-            f"conv_transpose: adjoint geometry maps {out_extents} -> {plan.outs}, "
-            f"but input spatial extents are {x.shape[-n:]}")
-
-    # w rows are channel-major over kernel taps, matching _scatter_cols layout;
-    # the GEMMs use transposed views as in conv
-    wmat = w.values.reshape(c_in, -1)  # (C_in, C_out*K)
-    out = np.empty(x.shape[:-n - 1] + (c_out,) + out_extents)
-    for xi, oi in zip(x.values.reshape(-1, c_in, math.prod(plan.outs)),
-                      out.reshape((-1, c_out) + out_extents)):
-        oi[...] = _scatter_cols(wmat.T @ xi, c_out, out_extents, plan)
-    if b is not None:
-        out += b.values.reshape((c_out,) + (1,) * n)
-
-    parents = (x, w) if b is None else (x, w, b)
-
-    def rule(g, saved, acc):
-        (xv,) = saved
-        gb = g.reshape((-1, c_out) + out_extents)
-        xb = xv.reshape(len(gb), c_in, -1)  # (B, C_in, P)
-        gx = np.empty(xb.shape)
-        for i in reversed(range(len(gb))):
-            gcols = _gather_cols(gb[i], plan)  # (C_out*K, P)
-            gx[i] = (gcols.T @ wmat.T).T
-            acc(w, (xb[i] @ gcols.T).reshape(w.shape))
-            if b is not None:
-                acc(b, gb[i].sum(axis=tuple(range(1, n + 1))))
-        acc(x, gx.reshape(xv.shape))
-
-    return _record("conv_transpose", out, parents, (x.values,), rule)
+            f"conv_transpose: adjoint geometry maps {geo.extents} -> {geo.outs}, "
+            f"but input spatial extents are {x.shape[-2:]}")
+    return _conv_node("conv_transpose", x, w, b, geo, transposed=True)
 
 
 # ---------------------------------------------------------------------------

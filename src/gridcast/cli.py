@@ -24,6 +24,7 @@ import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import autodiff as ad
@@ -69,17 +70,12 @@ def _ensure_parent(path: str) -> None:
 def _versions() -> dict:
     """Package versions, the BLAS build and its thread settings.
 
-    Loss and gradient bits depend on the BLAS thread count, so a run
-    reproduces bitwise only under the same OPENBLAS_NUM_THREADS and
-    OMP_NUM_THREADS (None when unset).
+    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS are recorded (None when unset)
+    to describe the run.  A desk train step's loss and gradients come out
+    bitwise the same at one and at two BLAS threads; a test checks that.
     """
-    out = {"gridcast": __version__, "numpy": np.__version__,
+    out = {"gridcast": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
            "python": platform.python_version()}
-    try:
-        import scipy
-        out["scipy"] = scipy.__version__
-    except ImportError:
-        pass
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     out["blas"] = blas.get("name")
     out["blas_version"] = blas.get("version")
@@ -105,8 +101,12 @@ def write_manifest(target, command, config: dict, seed, outputs, wall_time_s):
 
 
 def _load_params_tensors(path) -> dict:
-    return {k: Tensor(v, requires_grad=True)
-            for k, v in load_params_file(path).items()}
+    """Parameters as leaf tensors; the first tensor that is not all finite is a DataError."""
+    blobs = load_params_file(path)
+    bad = next((k for k, v in blobs.items() if not np.isfinite(v).all()), None)
+    if bad is not None:
+        raise DataError(f"{path}: parameter {bad} is not finite")
+    return {k: Tensor(v, requires_grad=True) for k, v in blobs.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,13 @@ def clip_gradients(grads: dict, clip_norm: float) -> float:
     return norm
 
 
+def _log_row(out_dir, row: list, mode: str = "a"):
+    """Write one row of out_dir/train_log.csv and close it, so the row is on disk."""
+    if out_dir is not None:
+        with open(os.path.join(out_dir, "train_log.csv"), mode, newline="") as f:
+            csv.writer(f).writerow(row)
+
+
 def train(params: dict, cfg: ModelConfig, ds: WeatherDataset, stage: str,
           steps: int, seed: int = 0, out_dir=None, lr_max: float = LR_MAX_DEFAULT,
           checkpoint_every: int = 100):
@@ -275,8 +282,9 @@ def train(params: dict, cfg: ModelConfig, ds: WeatherDataset, stage: str,
 
     All randomness flows from the single seed. Each history row holds the
     step, lr, loss, lead times, pre-clip gradient norm and step wall time;
-    with out_dir set, they are also written to train_log.csv next to the
-    parameter checkpoints. The learning rate decays from lr_max to LR_MIN,
+    with out_dir set, each row is also appended to train_log.csv next to the
+    parameter checkpoints as its step ends, so a crash keeps the rows of the
+    steps before it. The learning rate decays from lr_max to LR_MIN,
     and gradients are clipped to a global norm of CLIP_NORM before each
     update. A non-finite loss or gradient raises NumericsError before the
     update.
@@ -293,6 +301,7 @@ def train(params: dict, cfg: ModelConfig, ds: WeatherDataset, stage: str,
         raise ConfigError("hourly stage needs a one-hour processor in cfg.horizons")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+    _log_row(out_dir, ["step", "lr", "loss", "dts", "grad_norm", "step_s"], "w")
 
     rng = np.random.default_rng([seed, 13])
     opt = Adam(params, trainable=trainable_names(params, stage))
@@ -323,19 +332,13 @@ def train(params: dict, cfg: ModelConfig, ds: WeatherDataset, stage: str,
         history.append({"step": i, "lr": lr, "loss": loss_v, "dts": dts,
                         "grad_norm": grad_norm,
                         "step_s": time.perf_counter() - start})
+        _log_row(out_dir, [i, f"{lr:.12e}", f"{loss_v:.12e}", ";".join(str(d) for d in dts),
+                           f"{grad_norm:.12e}", f"{history[-1]['step_s']:.6f}"])
         if out_dir is not None and checkpoint_every and (i + 1) % checkpoint_every == 0:
             save_params_file(os.path.join(out_dir, f"params_step_{i + 1:06d}.lmtw"),
                              {k: v.values for k, v in params.items()})
 
     if out_dir is not None:
-        with open(os.path.join(out_dir, "train_log.csv"), "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["step", "lr", "loss", "dts", "grad_norm", "step_s"])
-            for row in history:
-                w.writerow([row["step"], f"{row['lr']:.12e}",
-                            f"{row['loss']:.12e}",
-                            ";".join(str(d) for d in row["dts"]),
-                            f"{row['grad_norm']:.12e}", f"{row['step_s']:.6f}"])
         save_params_file(os.path.join(out_dir, "params_final.lmtw"),
                          {k: v.values for k, v in params.items()})
     return history

@@ -61,10 +61,10 @@ def fd_check(fn, tensors, rel_tol=1e-4, eps=1e-5, n_dirs=8, seed=0):
 
 @st.composite
 def _geometries(draw):
-    n = draw(st.sampled_from((2, 3)))
+    """2-D conv geometries, one stride shared by both axes."""
+    s = draw(st.sampled_from((1, 2)))
     extents, kernel, stride, pads, wrap = [], [], [], [], []
-    for _ in range(n):
-        s = draw(st.sampled_from((1, 2)))
+    for _ in range(2):
         w = draw(st.booleans())
         e = draw(st.integers(1, 5)) * s if w else draw(st.integers(1, 9))
         p = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
@@ -163,13 +163,6 @@ class TestForward:
         y = ad.conv(x, w, stride=2, pads=[(1, 1), (0, 0)], wrap=(False, True))
         assert y.shape == (5, 4, 6)
 
-    def test_conv3d_shapes(self):
-        x = t(RNG.standard_normal((2, 3, 6, 8)))
-        w = t(RNG.standard_normal((4, 2, 3, 3, 3)))
-        y = ad.conv(x, w, stride=1, pads=[(1, 1), (1, 1), (0, 0)],
-                    wrap=(False, False, True))
-        assert y.shape == (4, 3, 6, 8)
-
     @settings(max_examples=60, deadline=None)
     @given(_geometries(), st.integers(0, 2 ** 31))
     @example(((6, 8), (4, 4), (2, 2), ((1, 1), (0, 0)), (False, True)), 0)
@@ -206,6 +199,10 @@ class TestForward:
             t(np.ones((2, 2))).reshape(5)
         with pytest.raises(ShapeError):  # neither (C, H, W) nor (B, C, H, W)
             ad.conv(t(np.ones((1, 2, 3, 4, 5))), t(np.ones((1, 3, 3, 3))))
+        with pytest.raises(ShapeError):  # convs are 2-D only
+            ad.conv(t(np.ones((2, 3, 6, 8))), t(np.ones((4, 2, 3, 3, 3))))
+        with pytest.raises(ShapeError):  # one stride shared by both axes
+            ad.conv(t(np.ones((1, 6, 8))), t(np.ones((1, 1, 3, 3))), stride=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +267,6 @@ class TestGradients:
 
         def f(xx, ww):
             y = ad.conv(xx, ww, stride=2, pads=[(1, 1), (0, 0)], wrap=(False, True))
-            return (y * y).sum()
-
-        fd_check(f, [x, w])
-
-    def test_conv3d(self):
-        x = t(RNG.standard_normal((2, 3, 4, 6)))
-        w = t(RNG.standard_normal((2, 2, 2, 3, 3)))
-
-        def f(xx, ww):
-            y = ad.conv(xx, ww, stride=1, pads=[(0, 1), (1, 1), (0, 0)],
-                        wrap=(False, False, True))
             return (y * y).sum()
 
         fd_check(f, [x, w])
@@ -487,7 +473,7 @@ def test_layernorm_shift_invariant(rows, d):
 
 
 # ---------------------------------------------------------------------------
-# scatter and gather against an np.add.at reference
+# conv against a reference gather and np.add.at scatter
 # ---------------------------------------------------------------------------
 
 def _ref_taps(key):
@@ -539,40 +525,54 @@ def _ref_scatter(gcols, c_in, key):
     return gx
 
 
-def _assert_im2col_matches_reference(key, c_in, rng):
-    plan = ad._conv_plan(*key)
-    xv = rng.standard_normal((c_in,) + tuple(key[0]))
-    cols = ad._gather_cols(xv, plan)
-    ref = _ref_gather(xv, key)
-    assert cols.shape == ref.shape and cols.tobytes() == ref.tobytes(), key
-    gcols = rng.standard_normal(ref.shape)
-    gx = ad._scatter_cols(gcols, c_in, key[0], plan)
-    ref = _ref_scatter(gcols, c_in, key)
-    assert gx.shape == ref.shape and gx.tobytes() == ref.tobytes(), key
-
-
-def test_im2col_bitwise_on_every_desk_plan():
-    from gridcast.model import desk_config, init_model_params
-    from gridcast.synthdata import generate_dataset
-    from gridcast.training import train_step
-
-    cfg = desk_config()
-    ds = generate_dataset(cfg.grid, cfg.surface_in, cfg.surface_out, cfg.atmos_vars,
-                          cfg.levels, hours=7, seed=1)
-    params = init_model_params(cfg, seed=1, zero_residual=False)
-    backward(train_step(params, cfg, ds, (0, 6), 0, ds.plane_sigmas()))
-    keys = list(ad._PLAN_CACHE)
-    assert any(key[0][-2:] == (cfg.grid.rows, cfg.grid.cols) for key in keys)
-    rng = np.random.default_rng(11)
-    for key in keys:
-        _assert_im2col_matches_reference(key, 3, rng)
+def _assert_close(got, ref, what):
+    scale = max(np.abs(ref).max(initial=0.0), np.finfo(float).tiny)
+    assert got.shape == ref.shape and np.abs(got - ref).max(initial=0.0) <= 1e-12 * scale, what
 
 
 @settings(max_examples=60, deadline=None)
-@given(_geometries(), st.integers(1, 3), st.integers(0, 2 ** 31))
-@example(((1, 2), (2, 2), (1, 1), ((0, 0), (0, 0)), (True, True)), 1, 0)  # kernel > wrapped extent
-def test_im2col_bitwise_on_random_geometries(key, c_in, seed):
-    _assert_im2col_matches_reference(key, c_in, np.random.default_rng(seed))
+@given(_geometries(), st.integers(1, 3), st.booleans(), st.integers(0, 2 ** 31))
+@example(((40, 80), (3, 3), (1, 1), ((1, 1), (0, 0)), (False, True)), 3, False, 0)  # res block
+@example(((40, 80), (3, 3), (2, 2), ((1, 1), (0, 0)), (False, True)), 3, False, 0)  # down conv
+@example(((40, 80), (4, 4), (2, 2), ((1, 1), (0, 0)), (False, True)), 3, False, 0)  # up, as conv
+@example(((40, 80), (4, 4), (2, 2), ((1, 1), (0, 0)), (False, True)), 3, True, 0)  # up conv
+@example(((1, 2), (2, 2), (1, 1), ((0, 0), (0, 0)), (True, True)), 1, False, 0)  # kernel > wrapped extent
+def test_conv_matches_reference(key, c_in, transposed, seed):
+    """conv and conv_transpose against the column matrix of the conv definition.
+
+    With cols = _ref_gather(x) and wmat = w as (C_out, C_in*K), conv is
+    wmat @ cols + b; its input gradient is _ref_scatter(wmat.T @ g) and its
+    weight gradient g @ cols.T.  conv_transpose is that input map, so the
+    roles swap.  This catches a tap that reads the wrong cell, which the
+    adjoint, finite-difference and batch tests cannot: they only compare
+    the code with itself.
+    """
+    extents, kernel, stride, pads, wrap = key
+    outs = tuple(_ref_taps(key)[0])
+    rng = np.random.default_rng(seed)
+    c_out = 2
+    wv = rng.standard_normal((c_out, c_in) + kernel)
+    wmat = wv.reshape(c_out, -1)
+    big, small = rng.standard_normal((c_in,) + extents), rng.standard_normal((c_out,) + outs)
+    cols = _ref_gather(big, key)
+    gathered = (wmat @ cols).reshape(small.shape)
+    scattered = _ref_scatter(wmat.T @ small.reshape(c_out, -1), c_in, key)
+    ref_gw = small.reshape(c_out, -1) @ cols.T
+    geo = dict(stride=stride, pads=pads, wrap=wrap)
+    if transposed:  # small -> big, the weight read as (C_in, C_out, *K) = (c_out, c_in, *K)
+        bv = rng.standard_normal(c_in)
+        xt, wt, g = t(small), t(wv), big
+        y = ad.conv_transpose(xt, wt, t(bv), out_extents=extents, **geo)
+        ref_y, ref_gx = scattered + bv[:, None, None], gathered
+    else:
+        bv = rng.standard_normal(c_out)
+        xt, wt, g = t(big), t(wv), small
+        y = ad.conv(xt, wt, t(bv), **geo)
+        ref_y, ref_gx = gathered + bv[:, None, None], scattered
+    grads = backward(y, seed=g, leaves=[xt, wt])
+    _assert_close(y.values, ref_y, ("output", key))
+    _assert_close(grads[xt], ref_gx, ("input grad", key))
+    _assert_close(grads[wt], ref_gw.reshape(wv.shape), ("weight grad", key))
 
 
 def _batch_vs_loop(op, x_batch, w, b, seed, **geo):
@@ -608,7 +608,7 @@ def test_batched_conv_matches_unbatched_loop(key, batch, seed):
     c1, c2 = 3, 2
     geo = dict(stride=stride, pads=pads, wrap=wrap)
     wf = rng.standard_normal((c2, c1) + kernel)
-    outs = ad._conv_plan(extents, kernel, stride, pads, wrap).outs
+    outs = tuple(_ref_taps(key)[0])
     cases = [
         (ad.conv, rng.standard_normal((batch, c1) + extents), rng.standard_normal(c2),
          rng.standard_normal((batch, c2) + outs), geo),

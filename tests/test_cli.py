@@ -146,6 +146,21 @@ class TestForecastEvaluate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: data: ")
 
+    def test_non_finite_parameter_is_data_error(self, tmp_path, spec_file, data_file,
+                                                capsys):
+        blobs = {k: v.values.copy()
+                 for k, v in init_model_params(tiny_config(), seed=4).items()}
+        blobs["dec.head_sfc.b"][1] = np.nan
+        params, out = str(tmp_path / "nan.lmtw"), tmp_path / "fc.lmtw"
+        save_params_file(params, blobs)
+        rc = main(["forecast", "--config", spec_file, "--params", params,
+                   "--init", data_file, "--init-hour", "0", "--dt", "6",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and "dec.head_sfc.b" in err, err
+        assert not out.exists()
+
     def test_offload_flag_matches_plain(self, tmp_path, spec_file, data_file):
         run = train_small(tmp_path, spec_file, data_file)
         a = str(tmp_path / "a.lmtw")

@@ -4,10 +4,14 @@ import csv
 import dataclasses
 import gc
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gridcast
 import gridcast.model as gm
 import gridcast.training as training
 from gridcast.autodiff import Tensor, backward
@@ -211,6 +215,38 @@ class TestTrainStep:
             gc.enable()
         assert freed == 0
 
+    def test_bitwise_at_one_and_two_blas_threads(self):
+        # one desk step plus backward per BLAS thread count, each in a fresh
+        # process, since OpenBLAS reads its thread count when it loads
+        script = "\n".join([
+            "import hashlib",
+            "from gridcast.autodiff import backward",
+            "from gridcast.model import desk_config, init_model_params",
+            "from gridcast.synthdata import generate_dataset",
+            "from gridcast.training import train_step",
+            "cfg = desk_config()",
+            "ds = generate_dataset(cfg.grid, cfg.surface_in, cfg.surface_out,"
+            " cfg.atmos_vars, cfg.levels, hours=13, seed=1)",
+            "params = init_model_params(cfg, seed=1, zero_residual=False)",
+            "loss = train_step(params, cfg, ds, (0, 6, 12), 0, ds.plane_sigmas())",
+            "grads = backward(loss, leaves=list(params.values()))",
+            "for name in sorted(params):",
+            "    print(name, hashlib.sha256(grads[params[name]].tobytes()).hexdigest())",
+            "print('loss', hashlib.sha256(loss.values.tobytes()).hexdigest())",
+        ])
+        src = os.path.dirname(os.path.dirname(gridcast.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=600)
+            assert done.returncode == 0, done.stderr
+            runs.append(done.stdout.splitlines())
+        assert len(runs[0]) > 200 and runs[0][-1].startswith("loss ")
+        differ = [a.split()[0] for a, b in zip(*runs) if a != b]
+        assert not differ, f"{len(differ)} of {len(runs[0])} arrays differ, first {differ[:3]}"
+
     def test_empty_dts_rejected(self, tiny):
         cfg, ds = tiny
         params = init_model_params(cfg, seed=0)
@@ -346,6 +382,26 @@ class TestTrainDriver:
         assert final.keys() == params.keys()
         assert (tmp_path / "params_step_000002.lmtw").exists()
         assert (tmp_path / "params_step_000004.lmtw").exists()
+
+    def test_csv_keeps_the_rows_before_a_crash(self, tiny, tmp_path, monkeypatch):
+        cfg, ds = tiny
+        params = init_model_params(cfg, seed=0)
+        real_step, calls = training.train_step, []
+
+        def nan_at_step_2(*args):
+            calls.append(len(calls))
+            loss = real_step(*args)
+            return loss * float("nan") if calls[-1] == 2 else loss
+
+        monkeypatch.setattr(training, "train_step", nan_at_step_2)
+        with pytest.raises(NumericsError, match="step 2: loss is nan"):
+            train(params, cfg, ds, "pretrain", steps=4, seed=5, lr_max=1e-3,
+                  out_dir=tmp_path)
+        with open(tmp_path / "train_log.csv") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["step", "lr", "loss", "dts", "grad_norm", "step_s"]
+        assert [row[0] for row in rows[1:]] == ["0", "1"]
+        assert all(math.isfinite(float(row[2])) for row in rows[1:])
 
     def test_nan_truth_raises_numerics_error_at_step_0(self, tiny):
         cfg, ds = tiny

@@ -24,7 +24,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import autodiff as ad
@@ -43,7 +42,7 @@ from .model import (
     tiny_config,
 )
 from .offload import OffloadEngine
-from .rollout import greedy_plan, rollout
+from .rollout import greedy_plan, require_finite, rollout
 from .serialization import ContainerError, load_params_file, save_params_file
 from .synthdata import generate_dataset, load_dataset_file, save_dataset_file
 from .training import add_source_encoders, train
@@ -70,11 +69,13 @@ def _ensure_parent(path: str) -> None:
 def _versions() -> dict:
     """Package versions, the BLAS build and its thread settings.
 
-    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS are recorded (None when unset)
-    to describe the run.  A desk train step's loss and gradients come out
-    bitwise the same at one and at two BLAS threads; a test checks that.
+    numpy is gridcast's only runtime dependency, so it is the only package
+    recorded besides gridcast and Python.  OPENBLAS_NUM_THREADS and
+    OMP_NUM_THREADS are recorded (None when unset) to describe the run.  A
+    desk train step's loss and gradients come out bitwise the same at one
+    and at two BLAS threads; a test checks that.
     """
-    out = {"gridcast": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+    out = {"gridcast": __version__, "numpy": np.__version__,
            "python": platform.python_version()}
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     out["blas"] = blas.get("name")
@@ -176,9 +177,12 @@ def _cmd_forecast(args, argv) -> int:
         lats = [encode(ds.input_state(idx, source_stream(s)), params, cfg,
                        source=s) for s in sources]
         lat = lats[0] if len(lats) == 1 else blend_sources(lats, params, sources)
+        require_finite(f"forecast: latent after {'encode' if len(lats) == 1 else 'blend'}",
+                       lat.tokens)
         plan = greedy_plan(args.dt, cfg.max_dt)
         lat = rollout(lat, plan, params, cfg)
         dec = decode(lat, params, cfg)
+        require_finite("forecast: fields after decode", dec.surface, dec.atmos)
 
     out = _resolve_out(args.out)
     _ensure_parent(out)

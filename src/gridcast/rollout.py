@@ -10,13 +10,16 @@ Each step is a checkpointed segment, so long rollouts keep a constant
 number of live intermediates.  The segment inputs are pinned on the tape, or
 copied into the slots of an OffloadEngine passed as the segment store, which
 keeps the tape's saved-bytes peak flat in the number of steps.  Under
-no_grad no segment is recorded and the engine stores nothing.
+no_grad no segment is recorded and the engine stores nothing.  A step whose
+latent holds NaN or inf raises NumericsError naming the step.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import autodiff as ad
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .model import (
     DecodedFields,
     LatentState,
@@ -29,7 +32,7 @@ from .model import (
 )
 from .offload import OffloadEngine
 
-__all__ = ["greedy_plan", "plan_hours", "rollout", "forecast"]
+__all__ = ["greedy_plan", "plan_hours", "require_finite", "rollout", "forecast"]
 
 
 def greedy_plan(dt: int, max_dt: int = 336) -> tuple[int, ...]:
@@ -45,6 +48,12 @@ def greedy_plan(dt: int, max_dt: int = 336) -> tuple[int, ...]:
 
 def plan_hours(plan) -> int:
     return sum(plan)
+
+
+def require_finite(what: str, *tensors: ad.Tensor) -> None:
+    """NumericsError naming what, if any of the tensors holds NaN or inf."""
+    if not all(np.isfinite(t.values).all() for t in tensors):
+        raise NumericsError(f"{what} is not finite")
 
 
 def _check_plan(plan, params: dict, cfg: ModelConfig) -> None:
@@ -75,8 +84,9 @@ def rollout(lat: LatentState, plan, params: dict, cfg: ModelConfig,
         return step
 
     tokens = lat.tokens
-    for h in plan:
+    for i, h in enumerate(plan, 1):
         tokens = ad.checkpoint_segment(make_step(h), tokens, store=engine)
+        require_finite(f"rollout: latent after step {i} of {len(plan)} ({h} h)", tokens)
     return LatentState(tokens, lat.valid_time + plan_hours(plan), ext)
 
 

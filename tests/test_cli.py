@@ -161,6 +161,28 @@ class TestForecastEvaluate:
         assert err.startswith("error: data: ") and "dec.head_sfc.b" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, stage", [
+        ("enc.blk0.mlp.w2", "forecast: latent after encode"),
+        ("proc6.blk0.mlp.w2", "rollout: latent after step 1 of 3 (6 h)"),
+        ("dec.head_sfc.w", "forecast: fields after decode"),
+    ])
+    def test_non_finite_forecast_is_compute_error(self, tmp_path, spec_file, data_file,
+                                                  capsys, name, stage):
+        # finite weights whose sums overflow: the forecast fails at the named stage
+        blobs = {k: v.values.copy()
+                 for k, v in init_model_params(tiny_config(), seed=4).items()}
+        blobs[name][...] = 1e308
+        params, out = str(tmp_path / "huge.lmtw"), tmp_path / "fc.lmtw"
+        save_params_file(params, blobs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["forecast", "--config", spec_file, "--params", params,
+                       "--init", data_file, "--init-hour", "0", "--dt", "13",
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: compute: ") and stage in err, err
+        assert not out.exists()
+
     def test_offload_flag_matches_plain(self, tmp_path, spec_file, data_file):
         run = train_small(tmp_path, spec_file, data_file)
         a = str(tmp_path / "a.lmtw")
@@ -217,6 +239,18 @@ class TestBlendedForecast:
         blobs = load_params_file(out)
         assert np.isfinite(blobs["surface"]).all()
         assert np.isfinite(blobs["atmos"]).all()
+
+    def test_non_finite_blend_is_compute_error(self, tmp_path, spec_file, data_file,
+                                               capsys):
+        path = two_source_params(tmp_path, [0.3, -0.2])
+        blobs = dict(load_params_file(path))
+        blobs["enc_op.op1.stem_sfc.w"] = np.full_like(blobs["enc_op.op1.stem_sfc.w"], 1e308)
+        save_params_file(path, blobs)
+        out = str(tmp_path / "fc.lmtw")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(self.argv(spec_file, path, data_file, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: compute: forecast: latent after blend"), err
 
     def test_matches_model_blend_bitwise(self, tmp_path, spec_file, data_file):
         path = two_source_params(tmp_path, [0.3, -0.2])

@@ -1,8 +1,12 @@
 """Source hygiene: no module in gridcast imports a name it never uses, every
-name a module exports in __all__ is one it defines or imports, and every
-function, class and method it defines is referenced somewhere in the repo."""
+name a module exports in __all__ is one it defines or imports, every
+function, class and method it defines is referenced somewhere in the repo,
+and running the command line loads no scipy module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,3 +136,35 @@ def test_every_definition_is_referenced():
               for name in definitions(path.read_text())
               if name.rsplit(".", 1)[-1] not in used]
     assert unused == []
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import gridcast, gridcast.cli
+from gridcast.cli import main
+from gridcast.model import init_model_params, save_config, tiny_config
+from gridcast.serialization import save_params_file
+
+d = sys.argv[1]
+save_config(d + "/tiny.cfg", tiny_config())
+save_params_file(d + "/p.lmtw", {k: v.values for k, v in
+                                 init_model_params(tiny_config(), seed=0).items()})
+common = ["--config", d + "/tiny.cfg", "--params", d + "/p.lmtw", "--init", d + "/d.wmd3"]
+runs = [["gen-data", "--spec", d + "/tiny.cfg", "--hours", "8", "--out", d + "/d.wmd3"],
+        ["forecast"] + common + ["--init-hour", "0", "--dt", "7", "--out", d + "/f.lmtw"],
+        ["evaluate", "--forecast", d + "/f.lmtw", "--truth", d + "/d.wmd3",
+         "--wavelength-km", "12000", "--out", d + "/e.json"],
+        ["verify"]]
+assert [main(argv) for argv in runs] == [0] * len(runs)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_command_line_loads_no_scipy(tmp_path):
+    """gridcast's only runtime dependency is numpy; scipy is for the tests."""
+    path = [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

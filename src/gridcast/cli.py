@@ -163,7 +163,8 @@ def _cmd_forecast(args, argv) -> int:
     t0 = time.time()
     cfg = load_config(args.config)
     params = _load_params_tensors(args.params)
-    ds = load_dataset_file(args.init)
+    # only the init hour is kept (None: the file's last hour)
+    ds = load_dataset_file(args.init, hours=(args.init_hour,))
     init_hour = args.init_hour if args.init_hour is not None else int(ds.times[-1])
     idx = ds.index_at(init_hour)
 
@@ -213,7 +214,7 @@ def _cmd_evaluate(args, argv) -> int:
 
     t0 = time.time()
     sfc, atm, valid_time = _load_forecast_fields(args.forecast)
-    ds = load_dataset_file(args.truth)
+    ds = load_dataset_file(args.truth, hours=(valid_time,))
     idx = ds.index_at(valid_time)
     true_sfc, true_atm = ds.truth_fields(idx)
     if sfc.shape != true_sfc.shape or atm.shape != true_atm.shape:
@@ -436,7 +437,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _HANDLERS[args.command](args, ["gridcast"] + argv)
+        # numpy's overflow and invalid-value warnings would print before the
+        # error line; the finiteness checks name such failures instead
+        with np.errstate(all="ignore"):
+            return _HANDLERS[args.command](args, ["gridcast"] + argv)
     except Exception as e:  # every failure becomes one parseable line
         msg = " ".join(str(e).split())
         print(f"error: {_categorize(e)}: {msg}", file=sys.stderr)

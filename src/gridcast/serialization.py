@@ -31,13 +31,20 @@ class ContainerError(ValueError):
     """Malformed or truncated parameter container."""
 
 
+def read_into(f, buf: np.ndarray, path) -> None:
+    """Fill buf from f's position by one readinto; a short read is an OSError."""
+    got = f.readinto(buf)
+    if got != buf.nbytes:
+        raise OSError(f"short read of {path}: {got} of {buf.nbytes} bytes at offset "
+                      f"{f.tell() - got}; the file is shorter than its size said")
+
+
 def read_file(path) -> np.ndarray:
     """The whole file in one private uint8 buffer, filled by one readinto. A
     shared mapping would raise SIGBUS if another process truncated the file."""
     with open(path, "rb") as f:
         buf = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
-        if f.readinto(buf) != buf.size:
-            raise OSError(f"short read of {path}: the file holds fewer than {buf.size} bytes")
+        read_into(f, buf, path)
     return buf
 
 

@@ -11,6 +11,7 @@ gives downstream tests an exactly known answer.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .grid import GridSpec
 from .model import WeatherState
-from .serialization import read_file
+from .serialization import read_file, read_into
 
 MAGIC = b"WMD3"
 VERSION = 1
@@ -81,6 +82,17 @@ def _plane_series(modes, drift: float, times: np.ndarray,
 # dataset container
 # ---------------------------------------------------------------------------
 
+def _find(times: np.ndarray, hour: int):
+    """The index of hour in the sorted times, or None when they lack it."""
+    i = int(np.searchsorted(times, hour))
+    return i if i < times.size and times[i] == hour else None
+
+
+def _require_increasing(times: np.ndarray) -> None:
+    if not (times[1:] > times[:-1]).all():
+        raise DataError("time axis must be strictly increasing")
+
+
 @dataclass
 class WeatherDataset:
     """Hourly truth fields plus one or more perturbed input sources.
@@ -106,8 +118,7 @@ class WeatherDataset:
         n_in = self.surface_in + self.atmos_vars * self.levels
         if self.times.dtype != np.int64:
             raise DataError("time axis must be int64 hours")
-        if not (self.times[1:] > self.times[:-1]).all():
-            raise DataError("time axis must be strictly increasing")
+        _require_increasing(self.times)
         if self.truth.shape != (t, n_truth, h, w) or self.truth.dtype != np.float32:
             raise DataError(f"truth block must be float32 {(t, n_truth, h, w)}")
         if not self.sources:
@@ -128,8 +139,8 @@ class WeatherDataset:
         return len(self.sources)
 
     def index_at(self, hour: int) -> int:
-        i = int(np.searchsorted(self.times, hour))
-        if i >= self.times.size or self.times[i] != hour:
+        i = _find(self.times, hour)
+        if i is None:
             raise DataError(f"no sample at hour {hour}")
         return i
 
@@ -241,14 +252,38 @@ def dump_dataset(ds: WeatherDataset) -> bytes:
     return b"".join(_dataset_parts(ds))
 
 
-def load_dataset(buf) -> WeatherDataset:
-    """Parse a WMD3 buffer into read-only views of it: truth and sources share one
-    (time, plane, row, col) array. Malformed or non-finite content raises DataError."""
-    buf = np.frombuffer(buf, dtype=np.uint8)
-    if buf.size < _HEADER.size:
+@dataclass(frozen=True)
+class _Header:
+    """A checked WMD3 header: the grid, the channel counts and the number of times."""
+    grid: GridSpec
+    surface_in: int
+    surface_out: int
+    atmos_vars: int
+    levels: int
+    n_sources: int
+    n_times: int
+
+    @property
+    def n_truth(self) -> int:
+        return self.surface_out + self.atmos_vars * self.levels
+
+    @property
+    def n_in(self) -> int:
+        return self.surface_in + self.atmos_vars * self.levels
+
+    @property
+    def hour_shape(self) -> tuple:
+        """(plane, row, col) of one time's block in the file."""
+        return (self.n_truth + self.n_sources * self.n_in, self.grid.rows, self.grid.cols)
+
+
+def _read_header(head, size: int) -> _Header:
+    """Check the header at the start of a WMD3 file of size bytes, and the size it
+    implies, before anything is allocated through its counts."""
+    if size < _HEADER.size:
         raise DataError("dataset file truncated")
     (magic, version, rows_f, cols_f, north, lat_step, lon_step, radius, flags,
-     s_in, s_out, a_vars, levels, n_sources, n_times) = _HEADER.unpack_from(buf)
+     s_in, s_out, a_vars, levels, n_sources, n_times) = _HEADER.unpack_from(head)
     if magic != MAGIC:
         raise DataError("not a WMD3 dataset (bad magic)")
     if version != VERSION:
@@ -263,36 +298,55 @@ def load_dataset(buf) -> WeatherDataset:
                         planet_radius_km=radius)
     except ConfigError as e:
         raise DataError(f"invalid grid header: {e}") from e
-    h, w = grid.rows, grid.cols
-    n_truth = s_out + a_vars * levels
-    n_in = s_in + a_vars * levels
-    n_planes = n_truth + n_sources * n_in
+    hdr = _Header(grid, s_in, s_out, a_vars, levels, n_sources, n_times)
+    hour_bytes = 4 * math.prod(hdr.hour_shape)
     # planes numpy cannot index are malformed even when n_times is 0
     if s_in < 1 or s_out < s_in or a_vars < 1 or levels < 1 or n_sources < 1 \
-            or 4 * n_planes * h * w > np.iinfo(np.intp).max:
+            or hour_bytes > np.iinfo(np.intp).max:
         raise DataError("invalid channel counts in header")
-    # check the size the header implies before viewing anything through it
-    off = _HEADER.size
-    body = n_times * (8 + 4 * n_planes * h * w)
-    if off + body > buf.size:
+    body = n_times * (8 + hour_bytes)
+    if _HEADER.size + body > size:
         raise DataError(f"dataset file truncated: header implies {body} bytes after it, "
-                        f"{buf.size - off} present")
-    if off + body < buf.size:
-        raise DataError(f"{buf.size - off - body} trailing bytes after dataset")
-    times = np.frombuffer(buf, dtype="<i8", count=n_times, offset=off).astype(np.int64)
-    planes = buf[off + 8 * n_times:].view("<f4").reshape(n_times, n_planes, h, w)
-    planes.flags.writeable = False
+                        f"{size - _HEADER.size} present")
+    if _HEADER.size + body < size:
+        raise DataError(f"{size - _HEADER.size - body} trailing bytes after dataset")
+    return hdr
+
+
+def _require_finite(hdr: _Header, planes: np.ndarray, t0: int) -> None:
+    """Name the first non-finite value of planes, (time, plane, row, col) in file
+    order from the file's time index t0."""
     if not np.isfinite(planes).all():
         # planes are in file order, so the first bad value is in the first bad plane
+        n_planes, h, w = hdr.hour_shape
         t, p = divmod(int(np.argmin(np.isfinite(planes))) // (h * w), n_planes)
-        j, q = divmod(p - n_truth, n_in)
-        field = f"truth plane {p}" if p < n_truth else f"source {j} plane {q}"
-        raise DataError(f"non-finite value in {field} at time index {t}")
-    return WeatherDataset(grid=grid, surface_in=s_in, surface_out=s_out,
-                          atmos_vars=a_vars, levels=levels, times=times,
-                          truth=planes[:, :n_truth],
-                          sources=tuple(planes[:, n_truth + j * n_in:n_truth + (j + 1) * n_in]
-                                        for j in range(n_sources)))
+        j, q = divmod(p - hdr.n_truth, hdr.n_in)
+        field = f"truth plane {p}" if p < hdr.n_truth else f"source {j} plane {q}"
+        raise DataError(f"non-finite value in {field} at time index {t0 + t}")
+
+
+def _dataset(hdr: _Header, times: np.ndarray, planes: np.ndarray) -> WeatherDataset:
+    """truth and sources as read-only views of planes (time, plane, row, col)."""
+    planes.flags.writeable = False
+    nt, ni = hdr.n_truth, hdr.n_in
+    return WeatherDataset(grid=hdr.grid, surface_in=hdr.surface_in,
+                          surface_out=hdr.surface_out, atmos_vars=hdr.atmos_vars,
+                          levels=hdr.levels, times=times, truth=planes[:, :nt],
+                          sources=tuple(planes[:, nt + j * ni:nt + (j + 1) * ni]
+                                        for j in range(hdr.n_sources)))
+
+
+def load_dataset(buf) -> WeatherDataset:
+    """Parse a WMD3 buffer into read-only views of it: truth and sources share one
+    (time, plane, row, col) array. Malformed or non-finite content raises DataError."""
+    buf = np.frombuffer(buf, dtype=np.uint8)
+    hdr = _read_header(buf, buf.size)
+    off, n = _HEADER.size, hdr.n_times
+    times = np.frombuffer(buf, dtype="<i8", count=n, offset=off).astype(np.int64)
+    _require_increasing(times)
+    planes = buf[off + 8 * n:].view("<f4").reshape(n, *hdr.hour_shape)
+    _require_finite(hdr, planes, 0)
+    return _dataset(hdr, times, planes)
 
 
 def save_dataset_file(ds: WeatherDataset, path) -> None:
@@ -300,5 +354,34 @@ def save_dataset_file(ds: WeatherDataset, path) -> None:
         f.writelines(_dataset_parts(ds))
 
 
-def load_dataset_file(path) -> WeatherDataset:
-    return load_dataset(read_file(path))
+def load_dataset_file(path, hours=None) -> WeatherDataset:
+    """Load a WMD3 file; with hours, keep only those hours.
+
+    Without hours the whole file is read into one buffer (load_dataset). With
+    hours, None among them standing for the file's last hour, the header, the
+    size and the time axis are checked first; then the body is streamed one
+    hour at a time, every hour is checked finite as load_dataset checks it, and
+    only the kept hours are held, in one private read-only array. Hours the file
+    lacks are left out, so index_at reports them.
+    """
+    if hours is None:
+        return load_dataset(read_file(path))
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = np.empty(min(size, _HEADER.size), dtype=np.uint8)
+        read_into(f, head, path)
+        hdr = _read_header(head, size)
+        times = np.empty(hdr.n_times, dtype="<i8")
+        read_into(f, times, path)
+        times = times.astype(np.int64)
+        _require_increasing(times)
+        found = [times.size - 1 if hour is None else _find(times, hour) for hour in hours]
+        keep = sorted({i for i in found if i is not None and i >= 0})
+        planes = np.empty((len(keep), *hdr.hour_shape), dtype="<f4")
+        spare = np.empty(hdr.hour_shape, dtype="<f4")
+        slots = dict(zip(keep, planes))
+        for t in range(hdr.n_times):
+            block = slots.get(t, spare)
+            read_into(f, block, path)
+            _require_finite(hdr, block[None], t)
+    return _dataset(hdr, times[keep], planes)

@@ -2,12 +2,18 @@
 
 import csv
 import json
+import os
+import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gridcast import autodiff as ad
-from gridcast import training
+from gridcast import cli, training
 from gridcast.cli import main
 from gridcast.model import (available_sources, blend_sources, config_from_dict,
                             decode, encode, init_model_params, load_config,
@@ -17,6 +23,8 @@ from gridcast.serialization import (dump_params, load_params, load_params_file,
                                     save_params_file)
 from gridcast.synthdata import load_dataset_file
 from gridcast.training import add_source_encoders
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 WAVELEN = "12000"  # resolvable on the 24-column test grid
 
@@ -174,14 +182,32 @@ class TestForecastEvaluate:
         blobs[name][...] = 1e308
         params, out = str(tmp_path / "huge.lmtw"), tmp_path / "fc.lmtw"
         save_params_file(params, blobs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["forecast", "--config", spec_file, "--params", params,
-                       "--init", data_file, "--init-hour", "0", "--dt", "13",
-                       "--out", str(out)])
+        rc = main(["forecast", "--config", spec_file, "--params", params,
+                   "--init", data_file, "--init-hour", "0", "--dt", "13",
+                   "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: compute: ") and stage in err, err
         assert not out.exists()
+
+    def test_numeric_failure_prints_one_error_line(self, tmp_path, spec_file, data_file):
+        # a fresh interpreter with numpy's default error state and warnings shown
+        blobs = {k: v.values.copy()
+                 for k, v in init_model_params(tiny_config(), seed=4).items()}
+        blobs["proc6.blk0.mlp.w1"][...] = 1e308
+        params = str(tmp_path / "huge.lmtw")
+        save_params_file(params, blobs)
+        path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONWARNINGS="default")
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from gridcast.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "forecast", "--config", spec_file,
+             "--params", params, "--init", data_file, "--dt", "6",
+             "--out", str(tmp_path / "fc.lmtw")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 1
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert done.stderr.startswith("error: compute: rollout: latent after step 1"), done.stderr
 
     def test_offload_flag_matches_plain(self, tmp_path, spec_file, data_file):
         run = train_small(tmp_path, spec_file, data_file)
@@ -226,6 +252,77 @@ def two_source_params(tmp_path, logits):
     return path
 
 
+class TestOneHourRead:
+    """forecast and evaluate keep one hour of the WMD3 file; results match the full load."""
+
+    HOUR_BYTES = (3 + 8 + 2 * (2 + 8)) * 24 * 24 * 4  # truth and two sources
+
+    @pytest.fixture()
+    def params(self, tmp_path):
+        path = str(tmp_path / "p.lmtw")
+        save_params_file(path, {k: v.values
+                                for k, v in init_model_params(tiny_config(), seed=4).items()})
+        return path
+
+    def forecast(self, spec_file, params, data, out, *extra):
+        return main(["forecast", "--config", spec_file, "--params", params,
+                     "--init", data, "--out", out, *extra])
+
+    @pytest.mark.parametrize("extra", [("--dt", "0"), ("--init-hour", "5", "--dt", "7")],
+                             ids=["last-hour", "init-hour"])
+    def test_forecast_and_report_match_the_full_load(self, tmp_path, spec_file, data_file,
+                                                     params, monkeypatch, extra):
+        def run(tag):
+            fc, ev = str(tmp_path / f"{tag}.lmtw"), tmp_path / f"{tag}.json"
+            assert self.forecast(spec_file, params, data_file, fc, *extra) == 0
+            assert main(["evaluate", "--forecast", fc, "--truth", data_file,
+                         "--wavelength-km", WAVELEN, "--out", str(ev)]) == 0
+            return Path(fc).read_bytes(), ev.read_text()
+
+        streamed = run("streamed")
+        monkeypatch.setattr(cli, "load_dataset_file",
+                            lambda path, hours=None: load_dataset_file(path))
+        assert run("full") == streamed
+
+    @pytest.mark.parametrize("hour, offset", [(0, 0), (2, 40), (5, 9000), (18, HOUR_BYTES - 4)])
+    def test_non_finite_hour_anywhere_is_data_error(self, tmp_path, spec_file, data_file,
+                                                    params, capsys, hour, offset):
+        blob = bytearray(Path(data_file).read_bytes())
+        struct.pack_into("<f", blob, 81 + 8 * 19 + hour * self.HOUR_BYTES + offset, np.nan)
+        bad = tmp_path / "nan.wmd3"
+        bad.write_bytes(blob)
+        fc = str(tmp_path / "fc.lmtw")
+        assert self.forecast(spec_file, params, data_file, fc, "--init-hour", "5",
+                             "--dt", "5") == 0
+        assert self.forecast(spec_file, params, str(bad), fc, "--init-hour", "5",
+                             "--dt", "5") == 1
+        assert main(["evaluate", "--forecast", fc, "--truth", str(bad),
+                     "--wavelength-km", WAVELEN, "--out", str(tmp_path / "e.json")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0].startswith("error: data: non-finite value in ")
+        assert err[0].endswith(f"at time index {hour}")
+
+    def test_forecast_memory_does_not_grow_with_the_file(self, tmp_path, spec_file, params):
+        data = {}
+        for hours in (4, 96):
+            data[hours] = str(tmp_path / f"d{hours}.wmd3")
+            assert main(["gen-data", "--spec", spec_file, "--hours", str(hours - 1),
+                         "--seed", "3", "--out", data[hours]]) == 0
+        fc = str(tmp_path / "fc.lmtw")
+        assert self.forecast(spec_file, params, data[4], fc, "--dt", "1") == 0  # warm caches
+        peak = {}
+        for hours, path in data.items():
+            tracemalloc.start()
+            try:
+                assert self.forecast(spec_file, params, path, fc, "--dt", "1") == 0
+                peak[hours] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        one_source_hour = (3 + 8 + 2 + 8) * 24 * 24 * 4
+        assert abs(peak[96] - peak[4]) < 2 * one_source_hour, peak
+
+
 class TestBlendedForecast:
     def argv(self, spec_file, params, data_file, out):
         return ["forecast", "--config", spec_file, "--params", params,
@@ -247,8 +344,7 @@ class TestBlendedForecast:
         blobs["enc_op.op1.stem_sfc.w"] = np.full_like(blobs["enc_op.op1.stem_sfc.w"], 1e308)
         save_params_file(path, blobs)
         out = str(tmp_path / "fc.lmtw")
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(self.argv(spec_file, path, data_file, out)) == 1
+        assert main(self.argv(spec_file, path, data_file, out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: compute: forecast: latent after blend"), err
 

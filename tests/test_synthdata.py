@@ -1,6 +1,9 @@
 """Synthetic data: wave statistics, container round trip, extraction."""
 
+import os
 import struct
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,11 +154,36 @@ class TestContainer:
         with pytest.raises(DataError):
             load_dataset(blob + b"\x00")
 
-    def test_huge_header_count_raises_before_allocating(self):
+    def test_huge_header_count_raises_before_allocating(self, tmp_path):
         blob = bytearray(dump_dataset(small_ds(hours=1)))
         struct.pack_into("<I", blob, 61, 2 ** 31)  # surface_out
         with pytest.raises(DataError, match="truncated"):
             load_dataset(bytes(blob))
+        p = tmp_path / "d.wmd3"
+        p.write_bytes(blob)
+        with pytest.raises(DataError, match="truncated"):
+            load_dataset_file(p, hours=(None,))
+
+    def test_streamed_read_keeps_only_the_named_hours(self, tmp_path):
+        ds = small_ds(hours=5, n_sources=2)
+        p = tmp_path / "d.wmd3"
+        save_dataset_file(ds, p)
+        full = load_dataset_file(p)
+        hour_bytes = full.truth[0].nbytes + sum(s[0].nbytes for s in full.sources)
+        for hours, kept in [((None,), [5]), ((0,), [0]), ((3, None, 3, 99), [3, 5]),
+                            ((-1, 6), [])]:
+            part = load_dataset_file(p, hours=hours)
+            assert part.grid == full.grid and part.n_sources == 2
+            assert part.times.tolist() == kept
+            assert part.truth.tobytes() == full.truth[kept].tobytes()
+            for a, b in zip(part.sources, full.sources):
+                assert a.tobytes() == b[kept].tobytes()
+            buf = part.truth.base
+            assert buf.nbytes == len(kept) * hour_bytes
+            for arr in (part.truth,) + part.sources:
+                assert arr.base is buf
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 1.0
 
     @pytest.mark.parametrize("field, block, value", [
         ("truth", 0, np.nan), ("source 1", 2, np.inf)])
@@ -255,9 +283,10 @@ _FUZZ_BLOB = dump_dataset(small_ds(hours=1, n_sources=2))
 _HEADER_BYTES = 81 + 8 * 2  # through the time axis
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_mutated_or_truncated_blob_raises_only_data_error(data):
+_FUZZ_HOUR_BYTES = (len(_FUZZ_BLOB) - _HEADER_BYTES) // 2
+
+
+def _mutated_or_truncated(data) -> bytes:
     blob = bytearray(_FUZZ_BLOB)
     if data.draw(st.booleans(), label="truncate"):
         blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
@@ -265,10 +294,53 @@ def test_mutated_or_truncated_blob_raises_only_data_error(data):
         for _ in range(data.draw(st.integers(1, 4), label="mutations")):
             pos = data.draw(st.integers(0, _HEADER_BYTES - 1), label="position")
             blob[pos] = data.draw(st.integers(0, 255), label="byte")
+    return bytes(blob)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_or_truncated_blob_raises_only_data_error(data):
     try:
-        load_dataset(bytes(blob))
+        load_dataset(_mutated_or_truncated(data))
     except DataError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_streamed_read_fails_and_keeps_as_the_full_load(data):
+    """The streamed read raises exactly when the full load does, with its message,
+    before holding even one hour's block; on a valid file every kept hour is the
+    full load's slice, bitwise."""
+    blob = _mutated_or_truncated(data)
+    hours = data.draw(st.lists(st.one_of(st.none(), st.integers(-2, 3)), max_size=3),
+                      label="hours")
+    try:
+        full, want = load_dataset(blob), None
+    except DataError as e:
+        want = str(e)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "d.wmd3")
+        with open(path, "wb") as f:
+            f.write(blob)
+        tracemalloc.start()
+        try:
+            part, got = load_dataset_file(path, hours=hours), None
+        except DataError as e:
+            got = str(e)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    assert got == want
+    if want is not None:
+        assert peak < _FUZZ_HOUR_BYTES, peak
+        return
+    kept = sorted({full.n_times - 1 if h is None else int(np.searchsorted(full.times, h))
+                   for h in hours if h is None or h in full.times})
+    assert part.grid == full.grid and part.times.tolist() == full.times[kept].tolist()
+    assert part.truth.tobytes() == full.truth[kept].tobytes()
+    for a, b in zip(part.sources, full.sources, strict=True):
+        assert a.tobytes() == b[kept].tobytes()
 
 
 def _per_plane_walk_message(ds):

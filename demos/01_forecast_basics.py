@@ -29,7 +29,7 @@ print(f"loss {hist[0]['loss']:.3f} -> {hist[-1]['loss']:.3f} in 40 steps")
 # forecast 12 h ahead from the first analysis and score it against truth
 state = ds.input_state(ds.index_at(0))
 with ad.no_grad():
-    out = forecast(state, 12, params, cfg)
+    out = forecast([state], 12, params, cfg)
 sfc_true, _ = ds.truth_fields(ds.index_at(12))
 
 for i in range(cfg.surface_out):

@@ -29,7 +29,7 @@ state = WeatherState(
 
 with ad.no_grad():
     reset_call_counts()
-    out = forecast(state, 13, params, cfg)
+    out = forecast([state], 13, params, cfg)
     print(f"\nforecast(13 h) call counts: {dict(CALL_COUNTS)}")
 
     # the rollout itself is pure composition; check against manual chaining

@@ -7,12 +7,12 @@ The package is organized bottom-up:
     offload        synchronous segment store that keeps rollout inputs off the tape
     grid           lat-lon geometry, weights, neighborhoods, static fields
     attention      rotary neighborhood attention transformer blocks
-    model          encoder / processors / decoder and their configs
-    rollout        greedy mixed-horizon latent time stepping
+    model          encoder / processors / decoder, source blending, configs
+    rollout        greedy mixed-horizon latent time stepping; forecast, the one path
     synthdata      deterministic synthetic atmospheres and their container
     training       multi-horizon curriculum, staged fine-tuning, optimizer
     evaluation     weighted RMSE, zonal spectra, sharpness, ensemble curves
-    cli            subcommand front end and run manifests
+    cli            subcommand front end over the above, and run manifests
 """
 
 __version__ = "0.1.0"

@@ -124,12 +124,12 @@ _GEN = 0
 class TapeNode:
     """One recorded primitive application.
 
-    parents are the input Tensors (graph edges point backward only, so the
-    node web is acyclic and reference counting can reclaim it), saved holds
-    the numpy intermediates the backward rule needs, and rule is called as
-    rule(grad_out, saved, add) where add(tensor, grad) accumulates into a
+    parents are the input Tensors (graph edges point backward only), saved
+    holds the numpy intermediates the backward rule needs, and rule is called
+    as rule(grad_out, saved, add) where add(tensor, grad) accumulates into a
     parent's gradient.  gen orders node creation so a checkpoint recompute
-    can detect escapes into an older graph.
+    can detect escapes into an older graph.  A swept node drops saved,
+    parents and rule, so the graph behind a root frees while the root lives.
     """
 
     __slots__ = ("op", "parents", "saved", "rule", "consumed", "gen")
@@ -151,6 +151,8 @@ class TapeNode:
         if self.saved:
             _state.stats._on_release(self.saved)
             self.saved = []
+        self.parents = ()
+        self.rule = None
 
 
 def _own(values, copy: bool) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Command line front end.
 
-Subcommands: gen-data, train, forecast, evaluate, scorecard, bench-offload,
-verify. Every artifact-producing run writes a manifest JSON next to its
+Subcommands: gen-data, train, forecast, evaluate, scorecard, verify.
+forecast runs rollout.forecast, the library's one encode -> rollout ->
+decode path. Every artifact-producing run writes a manifest JSON next to its
 output recording the command, the resolved configuration, the seed, library
 versions, output paths, and wall time.
 
@@ -16,7 +17,6 @@ relative output paths. It affects nothing else.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import platform
@@ -27,22 +27,16 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .autodiff import Tensor, backward
+from .autodiff import Tensor
 from .errors import ConfigError, DataError
 from .model import (
-    LatentState,
     available_sources,
-    blend_sources,
     config_to_dict,
-    decode,
-    encode,
     init_model_params,
     load_config,
     source_stream,
-    tiny_config,
 )
-from .offload import OffloadEngine
-from .rollout import greedy_plan, require_finite, rollout
+from .rollout import forecast, greedy_plan
 from .serialization import ContainerError, load_params_file, save_params_file
 from .synthdata import generate_dataset, load_dataset_file, save_dataset_file
 from .training import add_source_encoders, train
@@ -175,15 +169,8 @@ def _cmd_forecast(args, argv) -> int:
             raise ConfigError(f"no encoder for source {s!r}; have {known}")
 
     with ad.no_grad():
-        lats = [encode(ds.input_state(idx, source_stream(s)), params, cfg,
-                       source=s) for s in sources]
-        lat = lats[0] if len(lats) == 1 else blend_sources(lats, params, sources)
-        require_finite(f"forecast: latent after {'encode' if len(lats) == 1 else 'blend'}",
-                       lat.tokens)
-        plan = greedy_plan(args.dt, cfg.max_dt)
-        lat = rollout(lat, plan, params, cfg)
-        dec = decode(lat, params, cfg)
-        require_finite("forecast: fields after decode", dec.surface, dec.atmos)
+        dec = forecast([ds.input_state(idx, source_stream(s)) for s in sources],
+                       args.dt, params, cfg, sources)
 
     out = _resolve_out(args.out)
     _ensure_parent(out)
@@ -192,7 +179,7 @@ def _cmd_forecast(args, argv) -> int:
                            "valid_time": np.float64(dec.valid_time)})
     write_manifest(out, argv, config_to_dict(cfg), None, [out], time.time() - t0)
     print(f"forecast +{args.dt} h from hour {init_hour} "
-          f"({len(plan)} latent steps) -> {out}")
+          f"({len(greedy_plan(args.dt))} latent steps) -> {out}")
     return 0
 
 
@@ -277,59 +264,6 @@ def _cmd_scorecard(args, argv) -> int:
     return 0
 
 
-def _bench_workload(n_segments: int):
-    """One offloaded forward+backward over a rollout of six-hour processor steps.
-
-    high_water_bytes is the tape's saved-bytes peak over the run.
-    """
-    cfg = tiny_config()
-    params = init_model_params(cfg, seed=0, zero_residual=False)
-    rng = np.random.default_rng(42)
-    z0 = Tensor(rng.standard_normal((cfg.tokens, cfg.hidden)), requires_grad=True)
-    engine = OffloadEngine()
-    ad.reset_tape_stats()
-    try:
-        t0 = time.time()
-        z = rollout(LatentState(z0, 0, cfg.latent_extents), (6,) * n_segments,
-                    params, cfg, engine=engine).tokens
-        loss = (z * z).mean()
-        backward(loss, leaves=[z0])
-        wall = time.time() - t0
-        return {"segments": n_segments,
-                "high_water_bytes": ad.tape_stats().saved_bytes_peak,
-                "wall_time_s": round(wall, 6)}
-    finally:
-        engine.close()
-
-
-def _cmd_bench_offload(args, argv) -> int:
-    t0 = time.time()
-    try:
-        counts = [int(s) for s in args.segments.split(",") if s]
-    except ValueError:
-        raise ConfigError(f"bad --segments {args.segments!r}; "
-                          "expected comma-separated integers")
-    if not counts or any(c < 1 for c in counts):
-        raise ConfigError("--segments needs positive integers")
-    rows = [_bench_workload(c) for c in counts]
-    header = ["segments", "high_water_bytes", "wall_time_s"]
-    if args.out:
-        out = _resolve_out(args.out)
-        _ensure_parent(out)
-        with open(out, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            for r in rows:
-                w.writerow([r[k] for k in header])
-        write_manifest(out, argv, {}, None, [out], time.time() - t0)
-        print(f"wrote {out}")
-    else:
-        print(",".join(header))
-        for r in rows:
-            print(",".join(str(r[k]) for k in header))
-    return 0
-
-
 def _cmd_verify(args, argv) -> int:
     from .verify import run_checks
 
@@ -395,15 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--b", required=True, help="baseline evaluation JSON")
     s.add_argument("--out")
 
-    b = sub.add_parser(
-        "bench-offload", help="measure the offload engine",
-        description="One offloaded forward+backward per segment count over a "
-                    "tiny-config rollout of six-hour steps; reports the tape's "
-                    "saved-bytes peak and the wall time.")
-    b.add_argument("--segments", required=True,
-                   help="comma-separated segment counts, e.g. 1,4,16")
-    b.add_argument("--out", help="CSV file to write (default: print the rows)")
-
     sub.add_parser("verify", help="run the built-in invariant checks")
     return p
 
@@ -414,7 +339,6 @@ _HANDLERS = {
     "forecast": _cmd_forecast,
     "evaluate": _cmd_evaluate,
     "scorecard": _cmd_scorecard,
-    "bench-offload": _cmd_bench_offload,
     "verify": _cmd_verify,
 }
 

@@ -40,8 +40,7 @@ __all__ = [
     "encode",
     "process",
     "decode",
-    "blend_latents",
-    "blend_sources",
+    "encode_sources",
     "encoder_prefix",
     "source_stream",
     "available_sources",
@@ -392,41 +391,24 @@ def decode(lat: LatentState, params: dict, cfg: ModelConfig) -> DecodedFields:
                          atmos.reshape(cfg.atmos_vars, cfg.levels, g.rows, g.cols))
 
 
-def blend_latents(latents: list[LatentState], weights) -> LatentState:
-    """Convex combination of same-time latent states.
+def encode_sources(states, params: dict, cfg: ModelConfig, sources) -> LatentState:
+    """Encode states[i] with the encoder of sources[i]; blend several into one latent.
 
-    weights may be a Tensor (for learned blending) or an array; entries must
-    be finite, nonnegative and sum to one within 1e-12.
-    """
-    if not latents:
-        raise ConfigError("blend of zero latent states")
-    t0 = latents[0].valid_time
-    ext = latents[0].extents
-    for l in latents[1:]:
-        if l.valid_time != t0:
-            raise ConfigError(
-                f"blend of mismatched valid times {t0} and {l.valid_time}")
-        if l.extents != ext:
-            raise ConfigError("blend of mismatched latent extents")
-    wvals = weights.values if isinstance(weights, Tensor) else np.asarray(weights, float)
-    if wvals.shape != (len(latents),):
-        raise ConfigError(f"{len(latents)} states but weight shape {wvals.shape}")
-    if not np.isfinite(wvals).all() or (wvals < 0).any() or abs(wvals.sum() - 1.0) > 1e-12:
-        raise ConfigError("blend weights must be finite, nonnegative and sum to 1")
-    wt = weights if isinstance(weights, Tensor) else Tensor(wvals)
-    out = latents[0].tokens * wt[0]
-    for i in range(1, len(latents)):
-        out = out + latents[i].tokens * wt[i]
-    return LatentState(out, t0, ext)
-
-
-def blend_sources(latents: list[LatentState], params: dict, sources) -> LatentState:
-    """Blend the latents encoded from sources by the softmax of their logits.
-
+    One source gives its encoder's latent.  Several are weighted by
+    softmax(take(blend.logits, picked)) and summed in source order, where
     params["blend.logits"] holds one logit per encoder of the model, in
-    available_sources order; latents[i] was encoded from sources[i].
-    Training blends every source, a forecast may blend a subset.
+    available_sources order.  Training blends every source, a forecast may
+    blend a subset.
     """
+    if not sources or len(states) != len(sources):
+        raise ConfigError(f"{len(states)} states for {len(sources)} sources")
+    t0 = states[0].valid_time
+    for st in states[1:]:
+        if st.valid_time != t0:
+            raise ConfigError(f"blend of mismatched valid times {t0} and {st.valid_time}")
+    lats = [encode(st, params, cfg, source=s) for st, s in zip(states, sources)]
+    if len(lats) == 1:
+        return lats[0]
     if "blend.logits" not in params:
         raise ConfigError("blending sources needs blend.logits in params")
     known = available_sources(params)
@@ -435,7 +417,11 @@ def blend_sources(latents: list[LatentState], params: dict, sources) -> LatentSt
         raise ConfigError(f"blend.logits has shape {logits.shape}, "
                           f"model has {len(known)} sources")
     picked = np.array([known.index(s) for s in sources], dtype=np.int64)
-    return blend_latents(latents, ad.softmax(ad.take(logits, picked)))
+    w = ad.softmax(ad.take(logits, picked))
+    out = lats[0].tokens * w[0]
+    for i in range(1, len(lats)):
+        out = out + lats[i].tokens * w[i]
+    return LatentState(out, t0, lats[0].extents)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A forecast of dt hours is decomposed greedily: as many six-hour processor
 applications as fit, then one-hour applications for the remainder, run
 back to back in latent space.  No decoding or re-encoding happens between
-steps; the only grid-space work is one encode at the start and one decode
-at the end.
+steps; the only grid-space work is the encode (one per blended source) at
+the start and one decode at the end.
 
 Each step is a checkpointed segment, so long rollouts keep a constant
 number of live intermediates.  The segment inputs are pinned on the tape, or
@@ -25,9 +25,8 @@ from .model import (
     LatentState,
     ModelConfig,
     PRIMARY_SOURCE,
-    WeatherState,
     decode,
-    encode,
+    encode_sources,
     process,
 )
 from .offload import OffloadEngine
@@ -90,10 +89,19 @@ def rollout(lat: LatentState, plan, params: dict, cfg: ModelConfig,
     return LatentState(tokens, lat.valid_time + plan_hours(plan), ext)
 
 
-def forecast(state: WeatherState, dt: int, params: dict, cfg: ModelConfig,
-             source: str = PRIMARY_SOURCE) -> DecodedFields:
-    """encode -> greedy latent rollout -> decode."""
+def forecast(states, dt: int, params: dict, cfg: ModelConfig,
+             sources=(PRIMARY_SOURCE,)) -> DecodedFields:
+    """Encode (blending several sources) -> greedy latent rollout -> decode.
+
+    states[i] is the analysis that sources[i]'s encoder reads.  The plan is
+    checked before any encoding; a latent or a field holding NaN or inf
+    raises NumericsError naming the stage.
+    """
     plan = greedy_plan(dt, cfg.max_dt)
-    lat = encode(state, params, cfg, source=source)
-    lat = rollout(lat, plan, params, cfg)
-    return decode(lat, params, cfg)
+    lat = encode_sources(states, params, cfg, sources)
+    del states  # a caller's temporary list of analyses frees before the decode
+    require_finite(f"forecast: latent after {'encode' if len(sources) == 1 else 'blend'}",
+                   lat.tokens)
+    dec = decode(rollout(lat, plan, params, cfg), params, cfg)
+    require_finite("forecast: fields after decode", dec.surface, dec.atmos)
+    return dec

@@ -23,10 +23,10 @@ from .autodiff import Tensor, backward
 from .errors import ConfigError, DataError, NumericsError
 from .model import (
     ModelConfig,
+    PRIMARY_SOURCE,
     available_sources,
-    blend_sources,
     decode,
-    encode,
+    encode_sources,
     model_layout,
     process,
     source_stream,
@@ -204,17 +204,16 @@ def normalized_loss(dec, sfc_true: np.ndarray, atm_true: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _initial_latent(params, cfg, ds, idx, stage):
-    if stage != "operational":
-        return encode(ds.input_state(idx, source=0), params, cfg)
-    sources = available_sources(params)
-    if len(sources) < 2:
-        raise ConfigError("operational stage needs at least two encoders")
-    if ds.n_sources <= source_stream(sources[-1]):
-        raise ConfigError(f"source {sources[-1]!r} has no dataset stream "
-                          f"(dataset carries {ds.n_sources})")
-    lats = [encode(ds.input_state(idx, source=source_stream(name)), params, cfg,
-                   source=name) for name in sources]
-    return blend_sources(lats, params, sources)
+    sources = [PRIMARY_SOURCE]
+    if stage == "operational":
+        sources = available_sources(params)
+        if len(sources) < 2:
+            raise ConfigError("operational stage needs at least two encoders")
+        if ds.n_sources <= source_stream(sources[-1]):
+            raise ConfigError(f"source {sources[-1]!r} has no dataset stream "
+                              f"(dataset carries {ds.n_sources})")
+    states = [ds.input_state(idx, source=source_stream(s)) for s in sources]
+    return encode_sources(states, params, cfg, sources)
 
 
 def train_step(params, cfg: ModelConfig, ds: WeatherDataset, dts, t0: int,

@@ -67,8 +67,9 @@ def check_roll_equivariance():
     y = run(x).reshape(*extents, dim)
     xs = np.roll(x.reshape(*extents, dim), 3, axis=2).reshape(t, dim)
     ys = run(xs).reshape(*extents, dim)
-    err = np.max(np.abs(np.roll(y, 3, axis=2) - ys))
-    assert err < 1e-9, f"longitude roll changes outputs by {err}"
+    rolled = np.roll(y, 3, axis=2)
+    assert rolled.tobytes() == ys.tobytes(), \
+        f"longitude roll changes outputs by {np.max(np.abs(rolled - ys))}"
 
 
 def check_offload_parity():

@@ -105,7 +105,7 @@ def test_c02_latent_rollout_composition():
 
         with ad.no_grad():
             reset_call_counts()
-            out = forecast(state, 12, params, cfg)
+            out = forecast([state], 12, params, cfg)
             assert CALL_COUNTS["encode"] == 1
             assert CALL_COUNTS["decode"] == 1
             assert CALL_COUNTS["process6"] == 2
@@ -234,7 +234,7 @@ def test_c04_gradient_correctness():
         t_a = rng.standard_normal((cfg.atmos_vars, cfg.levels, g.rows, g.cols))
 
         def roll_loss():
-            out = forecast(state, 12, params, cfg)  # two 6 h latent steps
+            out = forecast([state], 12, params, cfg)  # two 6 h latent steps
             return normalized_loss(out, t_s, t_a, sigmas)
 
         assert fd_directions(roll_loss, all_leaves, 12, seed=44) < 1e-4

@@ -1,6 +1,8 @@
 """Tensor core: forward oracles, gradient checks, tape discipline."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -324,6 +326,21 @@ class TestTape:
         backward(y2)
         with pytest.raises(GraphError):
             backward(y1)
+
+    def test_swept_graph_frees_while_root_lives(self):
+        # reference counting alone reclaims the interior once backward has swept it
+        a = t(RNG.standard_normal(3))
+        h = ad.gelu(a * a)
+        interior = weakref.ref(h)
+        y = (h * ad.softmax(h)).sum()
+        del h
+        gc.disable()
+        try:
+            backward(y)
+            assert interior() is None
+        finally:
+            gc.enable()
+        assert y.node.consumed  # the root itself is still alive
 
     def test_no_grad_builds_no_tape(self):
         a = t(RNG.standard_normal(3))

@@ -15,8 +15,8 @@ import pytest
 from gridcast import autodiff as ad
 from gridcast import cli, training
 from gridcast.cli import main
-from gridcast.model import (available_sources, blend_sources, config_from_dict,
-                            decode, encode, init_model_params, load_config,
+from gridcast.model import (available_sources, config_from_dict, decode, encode,
+                            encode_sources, init_model_params, load_config,
                             save_config, tiny_config)
 from gridcast.rollout import greedy_plan, rollout
 from gridcast.serialization import (dump_params, load_params, load_params_file,
@@ -357,9 +357,8 @@ class TestBlendedForecast:
         ds = load_dataset_file(data_file)
         sources = ["primary", "op1"]
         with ad.no_grad():
-            lats = [encode(ds.input_state(ds.index_at(0), j), params, cfg,
-                           source=s) for j, s in enumerate(sources)]
-            lat = rollout(blend_sources(lats, params, sources), greedy_plan(7),
+            states = [ds.input_state(ds.index_at(0), j) for j in range(2)]
+            lat = rollout(encode_sources(states, params, cfg, sources), greedy_plan(7),
                           params, cfg)
             dec = decode(lat, params, cfg)
         blobs = load_params_file(out)
@@ -409,9 +408,8 @@ class TestTenExtraSources:
     def blend(self, params, cfg, ds):
         sources = available_sources(params)
         with ad.no_grad():
-            lats = [encode(ds.input_state(0, self.STREAMS[s]), params, cfg, source=s)
-                    for s in sources]
-            return blend_sources(lats, params, sources).tokens.values.tobytes()
+            states = [ds.input_state(0, self.STREAMS[s]) for s in sources]
+            return encode_sources(states, params, cfg, sources).tokens.values.tobytes()
 
     def test_blend_survives_a_round_trip(self, model):
         cfg, params, _, data = model
@@ -437,24 +435,6 @@ class TestTenExtraSources:
             want = decode(encode(ds.input_state(0, 10), params, cfg, source="op10"),
                           params, cfg)
         assert load_params_file(out)["surface"].tobytes() == want.surface.values.tobytes()
-
-
-class TestBenchOffload:
-    def test_csv_rows(self, tmp_path):
-        out = str(tmp_path / "bench.csv")
-        rc = main(["bench-offload", "--segments", "1,2", "--out", out])
-        assert rc == 0
-        with open(out) as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == ["segments", "high_water_bytes", "wall_time_s"]
-        assert [r[0] for r in rows[1:]] == ["1", "2"]
-        assert rows[1][1] == rows[2][1]  # same tape peak for 1 and 2 segments
-        assert int(rows[1][1]) > 0
-
-    def test_bad_segments(self, tmp_path, capsys):
-        rc = main(["bench-offload", "--segments", "1,zap"])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: config: ")
 
 
 class TestVerifyAndEnv:

@@ -17,12 +17,12 @@ from gridcast.grid import GridSpec, static_fields
 from gridcast.model import (
     LatentState,
     WeatherState,
-    blend_latents,
     config_from_dict,
     config_to_dict,
     decode,
     desk_config,
     encode,
+    encode_sources,
     init_model_params,
     load_config,
     full_scale_config,
@@ -306,7 +306,7 @@ class TestPlaneBatch:
             return [loss.values] + [grads[params[k]] for k in names], nodes, peak
 
         got, nodes, peak = step()
-        monkeypatch.setattr(training, "encode", _per_plane_encode)
+        monkeypatch.setattr(gm, "encode", _per_plane_encode)
         monkeypatch.setattr(training, "decode", _per_plane_decode)
         want, want_nodes, want_peak = step()
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -316,44 +316,58 @@ class TestPlaneBatch:
 
 
 class TestBlend:
-    def _latents(self, tiny, times=(0, 0)):
-        cfg, params = tiny
-        return [encode(random_state(cfg, t=t, seed=i), params, cfg)
-                for i, t in enumerate(times)]
+    SOURCES = ["primary", "op1"]
 
-    def test_blend_convex(self, tiny):
-        lats = self._latents(tiny)
-        out = blend_latents(lats, np.array([0.25, 0.75]))
-        want = 0.25 * lats[0].tokens.values + 0.75 * lats[1].tokens.values
+    @pytest.fixture(scope="class")
+    def two(self, tiny):
+        cfg, params = tiny
+        params = dict(params)
+        training.add_source_encoders(params, cfg, ["op1"], seed=7)
+        params["blend.logits"] = Tensor(np.array([0.4, -0.7]), requires_grad=True)
+        return cfg, params
+
+    def test_blend_convex(self, two):
+        cfg, params = two
+        states = [random_state(cfg, seed=i) for i in range(2)]
+        with ad.no_grad():
+            out = encode_sources(states, params, cfg, self.SOURCES)
+            lats = [encode(st, params, cfg, source=s) for st, s in zip(states, self.SOURCES)]
+            alone = encode_sources(states[1:], params, cfg, ["op1"])
+        w = np.exp([0.4, -0.7]) / np.exp([0.4, -0.7]).sum()
+        want = w[0] * lats[0].tokens.values + w[1] * lats[1].tokens.values
         np.testing.assert_allclose(out.tokens.values, want, atol=1e-14)
         assert out.valid_time == 0
+        assert alone.tokens.values.tobytes() == lats[1].tokens.values.tobytes()
 
-    def test_blend_rejects_bad_weights(self, tiny):
-        lats = self._latents(tiny)
-        with pytest.raises(ConfigError):
-            blend_latents(lats, np.array([0.5, 0.6]))
-        with pytest.raises(ConfigError):
-            blend_latents(lats, np.array([-0.1, 1.1]))
+    def test_blend_rejects_mismatched_times(self, two):
+        cfg, params = two
+        states = [random_state(cfg, t=t, seed=i) for i, t in enumerate((0, 6))]
+        gm.reset_call_counts()
+        with pytest.raises(ConfigError, match="mismatched valid times"):
+            encode_sources(states, params, cfg, self.SOURCES)
+        with pytest.raises(ConfigError, match="1 states for 2 sources"):
+            encode_sources(states[:1], params, cfg, self.SOURCES)
+        assert gm.CALL_COUNTS["encode"] == 0
 
-    def test_blend_rejects_non_finite_weights(self, tiny):
-        lats = self._latents(tiny)
-        with pytest.raises(ConfigError):
-            blend_latents(lats, np.array([np.nan, np.nan]))
+    def test_blend_rejects_bad_logits(self, two):
+        cfg, params = two
+        states = [random_state(cfg, seed=i) for i in range(2)]
+        for logits in (None, Tensor(np.zeros(3))):
+            bad = {k: v for k, v in params.items() if k != "blend.logits"}
+            if logits is not None:
+                bad["blend.logits"] = logits
+            with ad.no_grad(), pytest.raises(ConfigError, match="blend.logits"):
+                encode_sources(states, bad, cfg, self.SOURCES)
 
-    def test_blend_rejects_mismatched_times(self, tiny):
-        lats = self._latents(tiny, times=(0, 6))
-        with pytest.raises(ConfigError):
-            blend_latents(lats, np.array([0.5, 0.5]))
-
-    def test_blend_weights_differentiable(self, tiny):
-        cfg, params = tiny
-        lats = self._latents(tiny)
-        w = Tensor(np.array([0.3, 0.7]), requires_grad=True)
-        out = blend_latents(lats, w)
+    def test_blend_weights_differentiable(self, two):
+        cfg, params = two
+        states = [random_state(cfg, seed=i) for i in range(2)]
+        out = encode_sources(states, params, cfg, self.SOURCES)
         loss = (out.tokens * out.tokens).mean()
-        grads = backward(loss, leaves=[w])
-        assert grads[w].shape == (2,)
-        assert np.abs(grads[w]).max() > 0
+        logits = params["blend.logits"]
+        grads = backward(loss, leaves=[logits])
+        assert grads[logits].shape == (2,)
+        assert np.abs(grads[logits]).max() > 0
 
 
 class TestSourceStreams:

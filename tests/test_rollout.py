@@ -6,7 +6,7 @@ import pytest
 import gridcast.autodiff as ad
 import gridcast.model as gm
 from gridcast.autodiff import Tensor, backward
-from gridcast.errors import ConfigError
+from gridcast.errors import ConfigError, NumericsError
 from gridcast.model import (
     LatentState,
     decode,
@@ -17,6 +17,7 @@ from gridcast.model import (
 )
 from gridcast.offload import OffloadEngine
 from gridcast.rollout import forecast, greedy_plan, plan_hours, rollout
+from gridcast.training import add_source_encoders
 
 RNG = np.random.default_rng(88)
 
@@ -111,7 +112,7 @@ class TestRollout:
     def test_forecast_matches_manual_composition(self, setup):
         cfg, params, state = setup
         with ad.no_grad():
-            out = forecast(state, 12, params, cfg)
+            out = forecast([state], 12, params, cfg)
             manual = decode(
                 process(process(encode(state, params, cfg), params, cfg, 6),
                         params, cfg, 6), params, cfg)
@@ -159,12 +160,29 @@ class TestRollout:
 
     def test_forecast_dt_obeys_cap(self, setup):
         cfg, params, state = setup
+        gm.reset_call_counts()
         with pytest.raises(ConfigError):
-            forecast(state, cfg.max_dt + 1, params, cfg)
+            forecast([state], cfg.max_dt + 1, params, cfg)
+        assert gm.CALL_COUNTS["encode"] == 0  # rejected before any encoding
+
+    @pytest.mark.parametrize("name, sources, stage", [
+        ("enc.blk0.mlp.w2", ("primary",), "forecast: latent after encode"),
+        ("enc_op.op1.stem_sfc.w", ("primary", "op1"), "forecast: latent after blend"),
+        ("dec.head_sfc.w", ("primary",), "forecast: fields after decode"),
+    ])
+    def test_non_finite_forecast_names_the_stage(self, setup, name, sources, stage):
+        # finite weights whose sums overflow, as the command line tests set them
+        cfg, _, state = setup
+        params = init_model_params(cfg, seed=4)
+        add_source_encoders(params, cfg, ["op1"], seed=4)
+        params[name] = Tensor(np.full(params[name].shape, 1e308))
+        with ad.no_grad(), np.errstate(all="ignore"), pytest.raises(NumericsError) as err:
+            forecast([state] * len(sources), 7, params, cfg, sources)
+        assert str(err.value) == f"{stage} is not finite"
 
     def test_dt_zero_forecast_is_encode_decode(self, setup):
         cfg, params, state = setup
         with ad.no_grad():
-            out = forecast(state, 0, params, cfg)
+            out = forecast([state], 0, params, cfg)
             manual = decode(encode(state, params, cfg), params, cfg)
         assert out.surface.values.tobytes() == manual.surface.values.tobytes()

@@ -9,6 +9,12 @@ deterministic: two runs over identical inputs produce bitwise-identical
 outputs and gradients, which is what lets checkpointed and non-checkpointed
 executions be compared exactly.
 
+The graph holds only what backward reads.  A node keeps a slot per parent
+(the parent's node for an intermediate, the tensor itself for a leaf that
+wants a gradient, None for a constant) plus the arrays its rule saved, and
+no rule closes over a Tensor.  So an intermediate's buffer frees as soon as
+its caller drops it, unless a rule saved it.
+
 Conventions:
   * values are always float64, C-contiguous, and owned by their Tensor
   * graphs are built and differentiated on a single thread
@@ -58,7 +64,8 @@ class TapeStats:
 
     saved_current counts intermediate arrays currently pinned by tape nodes
     for use in backward; saved_bytes_current and saved_bytes_peak meter
-    their bytes.
+    their bytes.  A None in a node's saved tuple is an operand its rule
+    does not need, and counts as nothing.
     """
 
     def __init__(self):
@@ -68,11 +75,13 @@ class TapeStats:
         self.saved_bytes_peak = 0
 
     def _on_save(self, arrays):
+        arrays = [a for a in arrays if a is not None]
         self.saved_current += len(arrays)
         self.saved_bytes_current += sum(a.nbytes for a in arrays)
         self.saved_bytes_peak = max(self.saved_bytes_peak, self.saved_bytes_current)
 
     def _on_release(self, arrays):
+        arrays = [a for a in arrays if a is not None]
         self.saved_current -= len(arrays)
         self.saved_bytes_current -= sum(a.nbytes for a in arrays)
 
@@ -122,14 +131,17 @@ _GEN = 0
 
 
 class TapeNode:
-    """One recorded primitive application.
+    """One recorded primitive application: parent slots plus saved arrays.
 
-    parents are the input Tensors (graph edges point backward only), saved
-    holds the numpy intermediates the backward rule needs, and rule is called
-    as rule(grad_out, saved, add) where add(tensor, grad) accumulates into a
-    parent's gradient.  gen orders node creation so a checkpoint recompute
-    can detect escapes into an older graph.  A swept node drops saved,
-    parents and rule, so the graph behind a root frees while the root lives.
+    parents holds one slot per input (see _slots): the input's own node, the
+    input tensor if it is a leaf that wants a gradient, or None; graph edges
+    point backward only, and no node holds an intermediate Tensor.  saved
+    holds the numpy arrays the backward rule reads, None where it reads
+    nothing.  rule is called as rule(grad_out, saved, add), where add(slot,
+    grad) accumulates into a parent's gradient; it closes over slots and
+    shapes only.  gen orders node creation so a checkpoint recompute can
+    detect escapes into an older graph.  A swept node drops saved, parents
+    and rule, so the graph behind a root frees while the root lives.
     """
 
     __slots__ = ("op", "parents", "saved", "rule", "consumed", "gen")
@@ -140,7 +152,7 @@ class TapeNode:
         self.gen = _GEN
         self.op = op
         self.parents = tuple(parents)
-        self.saved = list(saved)
+        self.saved = tuple(saved)
         self.rule = rule
         self.consumed = False
         st = _state.stats
@@ -150,7 +162,7 @@ class TapeNode:
     def release(self):
         if self.saved:
             _state.stats._on_release(self.saved)
-            self.saved = []
+            self.saved = ()
         self.parents = ()
         self.rule = None
 
@@ -262,10 +274,33 @@ def _const(x: float) -> Tensor:
     return Tensor(np.float64(x))
 
 
-def _record(op: str, out_values, parents: Sequence[Tensor], saved, rule) -> Tensor:
-    needs = _state.grad_enabled and any(p.requires_grad for p in parents)
-    node = TapeNode(op, parents, saved, rule) if needs else None
-    return Tensor(out_values, requires_grad=needs, node=node, copy=False)
+def _slot(t: Tensor):
+    """What a node keeps of a parent: its node, the tensor if a grad leaf, else None."""
+    if t.node is not None:
+        return t.node
+    return t if t.requires_grad else None
+
+
+def _slots(*parents: Tensor) -> tuple | None:
+    """The parents' slots if a primitive over them records a node, else None.
+
+    A primitive that gets None returns _value(out) and builds no rule and no
+    saved arrays, so under no_grad it does no work for the tape.
+    """
+    if not _state.grad_enabled:
+        return None
+    slots = tuple(map(_slot, parents))
+    return slots if any(s is not None for s in slots) else None
+
+
+def _value(out_values) -> Tensor:
+    """An output that records no node."""
+    return Tensor(out_values, copy=False)
+
+
+def _record(op: str, out_values, slots: tuple, saved, rule) -> Tensor:
+    return Tensor(out_values, requires_grad=True, node=TapeNode(op, slots, saved, rule),
+                  copy=False)
 
 
 def _contig(a) -> np.ndarray:
@@ -293,6 +328,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise and linear primitives
 # ---------------------------------------------------------------------------
 
+def _cross_saved(a: Tensor, b: Tensor, slots: tuple) -> tuple:
+    """(a's values, b's values) for a product rule, each only if the other side needs it."""
+    sa, sb = slots
+    return (a.values if sb is not None else None, b.values if sa is not None else None)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     a._check_alive("add")
     b._check_alive("add")
@@ -300,12 +341,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = a.values + b.values
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
+    slots = _slots(a, b)
+    if slots is None:
+        return _value(out)
+    (sa, sb), a_shape, b_shape = slots, a.shape, b.shape
 
     def rule(g, saved, acc):
-        acc(a, _unbroadcast(g, a.shape))
-        acc(b, _unbroadcast(g, b.shape))
+        acc(sa, _unbroadcast(g, a_shape))
+        acc(sb, _unbroadcast(g, b_shape))
 
-    return _record("add", out, (a, b), (), rule)
+    return _record("add", out, slots, (), rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -315,13 +360,19 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out = a.values * b.values
     except ValueError:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
+    slots = _slots(a, b)
+    if slots is None:
+        return _value(out)
+    (sa, sb), a_shape, b_shape = slots, a.shape, b.shape
 
     def rule(g, saved, acc):
         av, bv = saved
-        acc(a, _unbroadcast(g * bv, a.shape))
-        acc(b, _unbroadcast(g * av, b.shape))
+        if sa is not None:
+            acc(sa, _unbroadcast(g * bv, a_shape))
+        if sb is not None:
+            acc(sb, _unbroadcast(g * av, b_shape))
 
-    return _record("mul", out, (a, b), (a.values, b.values), rule)
+    return _record("mul", out, slots, _cross_saved(a, b, slots), rule)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -335,15 +386,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = np.matmul(a.values, b.values)
     except ValueError:
         raise ShapeError(f"matmul: batch extents do not broadcast, {a.shape} @ {b.shape}") from None
+    slots = _slots(a, b)
+    if slots is None:
+        return _value(out)
+    (sa, sb), a_shape, b_shape = slots, a.shape, b.shape
 
     def rule(g, saved, acc):
         av, bv = saved
-        ga = np.matmul(g, np.swapaxes(bv, -1, -2))
-        gb = np.matmul(np.swapaxes(av, -1, -2), g)
-        acc(a, _unbroadcast(ga, a.shape))
-        acc(b, _unbroadcast(gb, b.shape))
+        if sa is not None:
+            acc(sa, _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), a_shape))
+        if sb is not None:
+            acc(sb, _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), b_shape))
 
-    return _record("matmul", out, (a, b), (a.values, b.values), rule)
+    return _record("matmul", out, slots, _cross_saved(a, b, slots), rule)
 
 
 # erf from a table of Taylor coefficients about the nodes a = i / _ERF_STEP
@@ -415,12 +470,17 @@ def gelu(x: Tensor) -> Tensor:
     cdf += 1.0
     cdf *= 0.5
     out = xv * cdf
+    slots = _slots(x)
+    if slots is None:
+        return _value(out)
+    # the one saved array, the derivative: neither x nor cdf stays pinned
+    d = cdf + xv * np.exp(-0.5 * xv * xv) * _INV_SQRT2PI
+    (sx,) = slots
 
     def rule(g, saved, acc):
-        v, c = saved
-        acc(x, g * (c + v * np.exp(-0.5 * v * v) * _INV_SQRT2PI))
+        acc(sx, g * saved[0])
 
-    return _record("gelu", out, (x,), (xv, cdf), rule)
+    return _record("gelu", out, slots, (d,), rule)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -429,13 +489,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = xv - xv.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
+    slots = _slots(x)
+    if slots is None:
+        return _value(out)
+    (sx,) = slots
 
     def rule(g, saved, acc):
         (p,) = saved
         dot = (g * p).sum(axis=axis, keepdims=True)
-        acc(x, p * (g - dot))
+        acc(sx, p * (g - dot))
 
-    return _record("softmax", out, (x,), (out,), rule)
+    return _record("softmax", out, slots, (out,), rule)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -451,34 +515,41 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tenso
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.values + bias.values
+    slots = _slots(x, gain, bias)
+    if slots is None:
+        return _value(out)
+    sx, sg, sb = slots
 
     def rule(g, saved, acc):
         xh, iv, gv = saved
         lead = tuple(range(g.ndim - 1))
-        acc(bias, g.sum(axis=lead))
-        acc(gain, (g * xh).sum(axis=lead))
+        acc(sb, g.sum(axis=lead))
+        acc(sg, (g * xh).sum(axis=lead))
         gx = g * gv
         m1 = gx.mean(axis=-1, keepdims=True)
         m2 = (gx * xh).mean(axis=-1, keepdims=True)
-        acc(x, iv * (gx - m1 - xh * m2))
+        acc(sx, iv * (gx - m1 - xh * m2))
 
-    return _record("layernorm", out, (x, gain, bias), (xhat, inv, gain.values), rule)
+    return _record("layernorm", out, slots, (xhat, inv, gain.values), rule)
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x._check_alive("sum")
     out = x.values.sum(axis=axis, keepdims=keepdims)
+    slots = _slots(x)
+    if slots is None:
+        return _value(out)
+    (sx,), shape = slots, x.shape
 
     def rule(g, saved, acc):
         gg = np.asarray(g)
         if axis is not None and not keepdims:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            axes = tuple(a % x.values.ndim for a in axes)
-            for a in sorted(axes):
+            for a in sorted(a % len(shape) for a in axes):
                 gg = np.expand_dims(gg, a)
-        acc(x, np.broadcast_to(gg, x.shape).copy() if gg.shape != x.shape else gg)
+        acc(sx, np.broadcast_to(gg, shape).copy() if gg.shape != shape else gg)
 
-    return _record("sum", out, (x,), (), rule)
+    return _record("sum", out, slots, (), rule)
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -498,11 +569,15 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         out = x.values.reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}") from None
+    slots = _slots(x)
+    if slots is None:
+        return _value(out)
+    (sx,), x_shape = slots, x.shape
 
     def rule(g, saved, acc):
-        acc(x, _contig(np.asarray(g).reshape(x.shape)))
+        acc(sx, _contig(np.asarray(g).reshape(x_shape)))
 
-    return _record("reshape", out, (x,), (), rule)
+    return _record("reshape", out, slots, (), rule)
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -510,12 +585,15 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     if sorted(a % x.values.ndim for a in axes) != list(range(x.values.ndim)):
         raise ShapeError(f"transpose: axes {axes} invalid for rank {x.values.ndim}")
     out = np.transpose(x.values, axes)
-    inv = np.argsort(np.asarray(axes) % x.values.ndim)
+    slots = _slots(x)
+    if slots is None:
+        return _value(out)
+    (sx,), inv = slots, np.argsort(np.asarray(axes) % x.values.ndim)
 
     def rule(g, saved, acc):
-        acc(x, np.ascontiguousarray(np.transpose(g, inv)))
+        acc(sx, np.ascontiguousarray(np.transpose(g, inv)))
 
-    return _record("transpose", out, (x,), (), rule)
+    return _record("transpose", out, slots, (), rule)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -528,30 +606,37 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         out = np.concatenate([t.values for t in tensors], axis=axis)
     except ValueError:
         raise ShapeError(f"concat: shapes {[t.shape for t in tensors]} along axis {axis}") from None
+    slots = _slots(*tensors)
+    if slots is None:
+        return _value(out)
     sizes = [t.shape[axis] for t in tensors]
 
     def rule(g, saved, acc):
         start = 0
-        for t, s in zip(tensors, sizes):
+        for st, s in zip(slots, sizes):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(start, start + s)
-            acc(t, np.ascontiguousarray(g[tuple(sl)]))
+            acc(st, np.ascontiguousarray(g[tuple(sl)]))
             start += s
 
-    return _record("concat", out, tuple(tensors), (), rule)
+    return _record("concat", out, slots, (), rule)
 
 
 def getitem(x: Tensor, key) -> Tensor:
     """Basic (slice/int) indexing with a scatter backward."""
     x._check_alive("getitem")
     out = x.values[key]
+    slots = _slots(x)
+    if slots is None:
+        return _value(out)
+    (sx,), x_shape = slots, x.shape
 
     def rule(g, saved, acc):
-        gx = np.zeros_like(x.values)
+        gx = np.zeros(x_shape)
         gx[key] += g
-        acc(x, gx)
+        acc(sx, gx)
 
-    return _record("getitem", out, (x,), (), rule)
+    return _record("getitem", out, slots, (), rule)
 
 
 def take(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -568,14 +653,18 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError(f"take: index out of range for extent {x.shape[0]}")
     out = x.values[idx]
+    slots = _slots(x)
+    if slots is None:
+        return _value(out)
+    (sx,), x_shape = slots, x.shape
 
     def rule(g, saved, acc):
-        row = math.prod(x.shape[1:])
+        row = math.prod(x_shape[1:])
         cells = idx[..., None] * row + np.arange(row)
-        gx = np.bincount(cells.ravel(), weights=g.ravel(), minlength=x.size)
-        acc(x, gx.astype(np.float64, copy=False).reshape(x.shape))  # int when idx is empty
+        gx = np.bincount(cells.ravel(), weights=g.ravel(), minlength=math.prod(x_shape))
+        acc(sx, gx.astype(np.float64, copy=False).reshape(x_shape))  # int when idx is empty
 
-    return _record("take", out, (x,), (), rule)
+    return _record("take", out, slots, (), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +772,10 @@ def neighborhood_attention(qkv: Tensor, table: np.ndarray, cos: np.ndarray, sin:
     table = np.asarray(table)
     _check_attention("neighborhood_attention", qkv.shape, table, cos, sin, heads)
     out, q, k, v, weights = _attend(qkv.values, table, cos, sin, heads)
-    t = qkv.shape[0]
+    slots = _slots(qkv)
+    if slots is None:
+        return _value(out)
+    (sqkv,), t = slots, qkv.shape[0]
     centre = (cos.shape[1] - 1) // 2
 
     def rule(g, saved, acc):
@@ -710,9 +802,9 @@ def neighborhood_attention(qkv: Tensor, table: np.ndarray, cos: np.ndarray, sin:
         gv = np.matmul(w_t[:, :, None, :], np.take(g_rows, src, axis=1))
         gk = rotate_pairs(gk[:, :, 0], cos[:, centre], -sin[:, centre])
         gqkv = np.stack([gq, gk, gv[:, :, 0]]).transpose(2, 0, 1, 3)  # (T, 3, heads, dh)
-        acc(qkv, np.ascontiguousarray(gqkv).reshape(t, -1))
+        acc(sqkv, np.ascontiguousarray(gqkv).reshape(t, -1))
 
-    return _record("neighborhood_attention", out, (qkv,), (q, k, v, weights), rule)
+    return _record("neighborhood_attention", out, slots, (q, k, v, weights), rule)
 
 
 def neighborhood_weights(qkv: np.ndarray, table: np.ndarray, cos: np.ndarray, sin: np.ndarray,
@@ -886,28 +978,33 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor | None, geo: _Geometry,
                    else _correlate(_phases(xi, geo), wt, geo))
     if b is not None:
         out += b.values[:, None, None]
+    slots = _slots(x, w) if b is None else _slots(x, w, b)
+    if slots is None:
+        return _value(out)
+    sx, sw, sb = slots if b is not None else slots + (None,)
+    w_shape = w.shape
 
     def rule(g, saved, acc):
         (xv,) = saved
         xb = xv.reshape((-1,) + xv.shape[-3:])
         gb = g.reshape((len(xb), c_out) + out_s)
-        gx = np.empty(xb.shape) if x.requires_grad else None  # the stems' input is data
+        gx = np.empty(xb.shape) if sx is not None else None  # the stems' input is data
         for i in reversed(range(len(xb))):
             small, big = (xb[i], gb[i]) if transposed else (gb[i], xb[i])
             span, phases = _spread(small, geo), _phases(big, geo)
-            gw = np.empty(w.shape)  # span @ tap span.T per tap
+            gw = np.empty(w_shape)  # span @ tap span.T per tap
             for ti, tj, p, sl in _taps(geo):
                 gw[:, :, ti, tj] = span @ phases[p][:, sl].T
-            acc(w, gw)
-            if b is not None:
-                acc(b, gb[i].reshape(c_out, -1).T.sum(axis=0))
+            acc(sw, gw)
+            if sb is not None:
+                acc(sb, gb[i].reshape(c_out, -1).T.sum(axis=0))
             if gx is not None:
                 gx[i] = (_correlate(phases, wt, geo) if transposed
                          else _correlate_adjoint(span, wt, geo))
         if gx is not None:
-            acc(x, gx.reshape(xv.shape))
+            acc(sx, gx.reshape(xv.shape))
 
-    return _record(op, out, (x, w) if b is None else (x, w, b), (x.values,), rule)
+    return _record(op, out, slots, (x.values,), rule)
 
 
 def conv(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads=None, wrap=None) -> Tensor:
@@ -947,8 +1044,8 @@ def conv_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride=1, pads
 # backward engine
 # ---------------------------------------------------------------------------
 
-def _topo(root: Tensor) -> list[tuple[Tensor, TapeNode]]:
-    """Tensors with nodes reachable from root, each exactly once, oldest first.
+def _topo(root: TapeNode) -> list[TapeNode]:
+    """Nodes reachable from root, each exactly once, oldest first.
 
     Creation order is a topological order, since a node is made after its
     parents.  Sweeping it in reverse, rather than in a search order, adds a
@@ -957,33 +1054,35 @@ def _topo(root: Tensor) -> list[tuple[Tensor, TapeNode]]:
     checkpoint segments: a segment's recompute sweeps its own part of the
     chain at that same place.
     """
-    found: dict[int, tuple[Tensor, TapeNode]] = {}
+    found: dict[int, TapeNode] = {}
     stack = [root]
     while stack:
-        t = stack.pop()
-        if t.node is None or id(t) in found:
+        node = stack.pop()
+        if id(node) in found:
             continue
-        found[id(t)] = (t, t.node)
-        stack.extend(t.node.parents)
-    return sorted(found.values(), key=lambda item: item[1].gen)
+        found[id(node)] = node
+        stack.extend(s for s in node.parents if isinstance(s, TapeNode))
+    return sorted(found.values(), key=lambda node: node.gen)
 
 
 def _backward_impl(root: Tensor, seed: np.ndarray, min_gen: int = 0):
-    acc: dict[int, list] = {}  # id -> [tensor, grad]
+    acc: dict[int, list] = {}  # id(slot) -> [slot, grad]
 
-    def add_grad(t: Tensor, g: np.ndarray):
-        cell = acc.get(id(t))
+    def add_grad(slot, g: np.ndarray):
+        if slot is None:
+            return  # a constant: no gradient wanted
+        cell = acc.get(id(slot))
         if cell is None:
-            acc[id(t)] = [t, np.asarray(g, dtype=np.float64)]
+            acc[id(slot)] = [slot, np.asarray(g, dtype=np.float64)]
         else:
             cell[1] = cell[1] + g
 
-    add_grad(root, seed)
-    order = _topo(root)
-    for t, node in reversed(order):
-        cell = acc.pop(id(t), None)
+    add_grad(_slot(root), seed)
+    order = [] if root.node is None else _topo(root.node)
+    for node in reversed(order):
+        cell = acc.pop(id(node), None)
         if cell is None:
-            continue  # tensor not on any path that received gradient
+            continue  # node not on any path that received gradient
         if node.gen < min_gen:
             raise GraphError(
                 "checkpoint_segment: recompute reached a tensor recorded outside the "
@@ -998,8 +1097,8 @@ def _backward_impl(root: Tensor, seed: np.ndarray, min_gen: int = 0):
         node.release()
 
     leaves: dict[Tensor, np.ndarray] = {}
-    for t, g in acc.values():
-        if t.node is None and t.requires_grad:
+    for t, g in acc.values():  # every node was popped: the slots left are leaves
+        if isinstance(t, Tensor):
             if g.shape != t.shape:
                 g = _contig(np.broadcast_to(g, t.shape).copy())
             leaves[t] = g
@@ -1074,6 +1173,7 @@ def checkpoint_segment(fn: Callable[[Tensor], Tensor], x: Tensor, store=None) ->
         with no_grad():
             return fn(x_in)
 
+    sx = _slot(x)
     saved, key, y = store.keep(x, forward)
 
     def rule(g, saved, acc):
@@ -1087,11 +1187,11 @@ def checkpoint_segment(fn: Callable[[Tensor], Tensor], x: Tensor, store=None) ->
 
         gx, sub = store.restore(saved, key, replay)
         if gx is not None:
-            acc(x, gx)
-        for p, gp in sub.items():
+            acc(sx, gx)
+        for p, gp in sub.items():  # leaf parameters: each is its own slot
             acc(p, gp)
 
     # node exists regardless of x.requires_grad: captured parameters inside
     # fn still need their gradients routed on the recompute pass
-    node = TapeNode("checkpoint", (x,), saved, rule)
+    node = TapeNode("checkpoint", (sx,), saved, rule)
     return Tensor(y.values, requires_grad=True, node=node, copy=False)

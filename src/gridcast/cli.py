@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -188,6 +189,9 @@ def _load_forecast_fields(path):
     for key in ("surface", "atmos", "valid_time"):
         if key not in blobs:
             raise DataError(f"forecast file lacks {key!r}")
+    for key in ("surface", "atmos"):
+        if not np.isfinite(blobs[key]).all():
+            raise DataError(f"forecast field {key!r} holds NaN or inf")
     vt = blobs["valid_time"]
     if vt.ndim != 0:
         raise DataError(f"forecast valid_time must be a scalar, got shape {vt.shape}")
@@ -225,17 +229,28 @@ def _cmd_evaluate(args, argv) -> int:
 
     doc = {"valid_time": valid_time, "wavelength_km": args.wavelength_km,
            "rmse": rmse, "blur": blur}
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)  # before the file opens
     out = _resolve_out(args.out)
     _ensure_parent(out)
     with open(out, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
     write_manifest(out, argv, {"wavelength_km": args.wavelength_km}, None,
                    [out], time.time() - t0)
     mean_rmse = float(np.mean(list(rmse.values())))
     print(f"evaluated {len(rmse)} planes at hour {valid_time}; "
           f"mean rmse {mean_rmse:.6f} -> {out}")
     return 0
+
+
+def _report_rmse(doc, name: str) -> dict:
+    """An evaluation report's rmse: a non-empty mapping of names to finite numbers."""
+    rmse = doc.get("rmse") if isinstance(doc, dict) else None
+    if not isinstance(rmse, dict) or not rmse:
+        raise DataError(f"file {name} is not an evaluation report: no non-empty 'rmse' mapping")
+    for k, v in rmse.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise DataError(f"file {name}: rmse {k!r} is {v!r}, not a finite number")
+    return rmse
 
 
 def _cmd_scorecard(args, argv) -> int:
@@ -246,14 +261,11 @@ def _cmd_scorecard(args, argv) -> int:
         doc_a = json.load(f)
     with open(args.b) as f:
         doc_b = json.load(f)
-    for name, doc in (("a", doc_a), ("b", doc_b)):
-        if "rmse" not in doc:
-            raise DataError(f"file {name} is not an evaluation report")
-    pct = score(doc_a["rmse"], doc_b["rmse"])
+    rmse_a, rmse_b = _report_rmse(doc_a, "a"), _report_rmse(doc_b, "b")
+    pct = score(rmse_a, rmse_b)
     width = max(len(k) for k in pct)
     for k in sorted(pct):
-        print(f"{k:<{width}}  {doc_a['rmse'][k]:12.6f}  "
-              f"{doc_b['rmse'][k]:12.6f}  {pct[k]:+8.3f}%")
+        print(f"{k:<{width}}  {rmse_a[k]:12.6f}  {rmse_b[k]:12.6f}  {pct[k]:+8.3f}%")
     if args.out:
         out = _resolve_out(args.out)
         _ensure_parent(out)

@@ -286,12 +286,17 @@ def train(params: dict, cfg: ModelConfig, ds: WeatherDataset, stage: str,
     steps before it. The learning rate decays from lr_max to LR_MIN,
     and gradients are clipped to a global norm of CLIP_NORM before each
     update. A non-finite loss or gradient raises NumericsError before the
-    update.
+    update. lr_max must be finite and positive and checkpoint_every (0: no
+    step checkpoints) at least 0, or ConfigError is raised before any step.
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {STAGES}")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
+    if not (math.isfinite(lr_max) and lr_max > 0.0):
+        raise ConfigError(f"lr_max must be finite and positive, got {lr_max}")
+    if checkpoint_every < 0:
+        raise ConfigError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     horizon_cap = max(admissible_dts(steps - 1, stage))
     if int(ds.times[-1]) < horizon_cap:
         raise DataError(

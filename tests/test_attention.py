@@ -391,11 +391,12 @@ class TestFusedBlock:
             assert run(np.roll(x, shift, axis=2)).tobytes() == np.roll(y, shift, axis=2).tobytes()
 
     def test_desk_processor_block_tape_is_smaller(self):
-        # the composed block recorded 51 nodes pinning 4,918,776 B
+        # the composed block recorded 51 nodes pinning 4,918,776 B; gelu saving
+        # its derivative alone, not its input and cdf, took 1,621,152 B down
         params = init_block_params(np.random.default_rng(0), DESK_DIM, DESK_HEADS, "proc6.blk0",
                                    zero_residual=False)
         x = Tensor(RNG.standard_normal((int(np.prod(DESK_EXT)), DESK_DIM)), requires_grad=True)
         ad.reset_tape_stats()
         natten_block(x, params, "proc6.blk0", DESK_EXT, DESK_WIN, DESK_HEADS)
         stats = ad.tape_stats()
-        assert (stats.nodes_created, stats.saved_bytes_current) == (16, 1_621_152)
+        assert (stats.nodes_created, stats.saved_bytes_current) == (16, 1_390_752)

@@ -342,6 +342,39 @@ class TestTape:
             gc.enable()
         assert y.node.consumed  # the root itself is still alive
 
+    def test_residual_sum_frees_the_conv_output(self):
+        # a node holds its parents' slots, not their tensors, and no rule of
+        # x + conv(h) reads the conv output, so it frees as soon as it is dropped
+        x = t(RNG.standard_normal((2, 5, 6)))
+        h = t(RNG.standard_normal((3, 5, 6)))
+        w = t(RNG.standard_normal((2, 3, 3, 3)))
+        gc.disable()
+        try:
+            c = ad.conv(h, w, pads=((1, 1), (1, 1)))
+            refs = weakref.ref(c), weakref.ref(c.values)
+            y = x + c
+            del c
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+        assert y.node is not None
+        grads = backward(y.sum(), leaves=[x, h, w])
+        assert grads[x].tobytes() == np.ones(x.shape).tobytes()
+
+    def test_product_with_a_constant_keeps_only_the_constant(self):
+        # each side of a product saves the other side's values only if that
+        # side wants a gradient: 2 * gelu(a) pins the 2, not gelu's output
+        a = t(RNG.standard_normal((4, 3)))
+        ad.reset_tape_stats()
+        h = ad.gelu(a)
+        ref = weakref.ref(h.values)
+        y = h * 2.0
+        del h
+        assert ref() is None
+        assert ad.tape_stats().saved_bytes_current == a.nbytes + 8  # gelu's derivative, the 2
+        grads = backward(y.sum(), leaves=[a])
+        assert np.isfinite(grads[a]).all()
+
     def test_no_grad_builds_no_tape(self):
         a = t(RNG.standard_normal(3))
         with ad.no_grad():

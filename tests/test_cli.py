@@ -111,6 +111,19 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: data: ")
 
 
+    @pytest.mark.parametrize("flag", ["--lr-max=nan", "--lr-max=inf", "--lr-max=0",
+                                      "--lr-max=-0.001", "--checkpoint-every=-1"])
+    def test_bad_numeric_flag_is_config_error(self, tmp_path, spec_file, data_file, capsys,
+                                              flag):
+        out = tmp_path / "r"
+        rc = main(["train", "--config", spec_file, "--data", data_file,
+                   "--stage", "pretrain", "--steps", "1", "--out", str(out), flag])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: config: ")
+        assert not (out / "train_log.csv").exists()  # raised before any step
+        assert not (out / "params_final.lmtw").exists()
+
+
 class TestForecastEvaluate:
     def test_forecast_evaluate_scorecard(self, tmp_path, spec_file, data_file):
         run = train_small(tmp_path, spec_file, data_file)
@@ -153,6 +166,34 @@ class TestForecastEvaluate:
                    "--wavelength-km", WAVELEN, "--out", str(tmp_path / "e.json")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: data: ")
+
+    @pytest.mark.parametrize("field, bad", [("surface", np.nan), ("atmos", np.inf)])
+    def test_non_finite_forecast_field_is_data_error(self, tmp_path, data_file, capsys,
+                                                     field, bad):
+        blobs = {"surface": np.zeros((3, 24, 24)), "atmos": np.zeros((2, 4, 24, 24)),
+                 "valid_time": np.float64(6)}
+        blobs[field][...] = bad
+        fc, ev = str(tmp_path / "fc.lmtw"), tmp_path / "e.json"
+        save_params_file(fc, blobs)
+        rc = main(["evaluate", "--forecast", fc, "--truth", data_file,
+                   "--wavelength-km", WAVELEN, "--out", str(ev)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and repr(field) in err, err
+        assert not ev.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"rmse": {"sfc0": "x"}}, {"rmse": {}}, {"rmse": {"sfc0": float("nan")}},
+        {"rmse": {"sfc0": True}}, {"rmse": [1.0]}, [1.0],
+    ], ids=["string", "empty", "nan", "bool", "list", "not-a-report"])
+    def test_bad_scorecard_report_is_data_error(self, tmp_path, capsys, doc):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"rmse": {"sfc0": 1.0}}))
+        bad.write_text(json.dumps(doc))
+        for a, b in ((bad, good), (good, bad)):
+            rc = main(["scorecard", "--a", str(a), "--b", str(b)])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error: data: ")
 
     def test_non_finite_parameter_is_data_error(self, tmp_path, spec_file, data_file,
                                                 capsys):

@@ -284,18 +284,14 @@ def _slot(t: Tensor):
 def _slots(*parents: Tensor) -> tuple | None:
     """The parents' slots if a primitive over them records a node, else None.
 
-    A primitive that gets None returns _value(out) and builds no rule and no
-    saved arrays, so under no_grad it does no work for the tape.
+    A primitive that gets None returns its output as a plain Tensor and
+    builds no rule and no saved arrays, so under no_grad it does no work for
+    the tape.
     """
     if not _state.grad_enabled:
         return None
     slots = tuple(map(_slot, parents))
     return slots if any(s is not None for s in slots) else None
-
-
-def _value(out_values) -> Tensor:
-    """An output that records no node."""
-    return Tensor(out_values, copy=False)
 
 
 def _record(op: str, out_values, slots: tuple, saved, rule) -> Tensor:
@@ -343,7 +339,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
     slots = _slots(a, b)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     (sa, sb), a_shape, b_shape = slots, a.shape, b.shape
 
     def rule(g, saved, acc):
@@ -362,7 +358,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
     slots = _slots(a, b)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     (sa, sb), a_shape, b_shape = slots, a.shape, b.shape
 
     def rule(g, saved, acc):
@@ -388,7 +384,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: batch extents do not broadcast, {a.shape} @ {b.shape}") from None
     slots = _slots(a, b)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     (sa, sb), a_shape, b_shape = slots, a.shape, b.shape
 
     def rule(g, saved, acc):
@@ -472,7 +468,7 @@ def gelu(x: Tensor) -> Tensor:
     out = xv * cdf
     slots = _slots(x)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     # the one saved array, the derivative: neither x nor cdf stays pinned
     d = cdf + xv * np.exp(-0.5 * xv * xv) * _INV_SQRT2PI
     (sx,) = slots
@@ -491,7 +487,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     out = e / e.sum(axis=axis, keepdims=True)
     slots = _slots(x)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     (sx,) = slots
 
     def rule(g, saved, acc):
@@ -517,7 +513,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tenso
     out = xhat * gain.values + bias.values
     slots = _slots(x, gain, bias)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     sx, sg, sb = slots
 
     def rule(g, saved, acc):
@@ -538,7 +534,7 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = x.values.sum(axis=axis, keepdims=keepdims)
     slots = _slots(x)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     (sx,), shape = slots, x.shape
 
     def rule(g, saved, acc):
@@ -571,7 +567,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}") from None
     slots = _slots(x)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     (sx,), x_shape = slots, x.shape
 
     def rule(g, saved, acc):
@@ -587,7 +583,7 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = np.transpose(x.values, axes)
     slots = _slots(x)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     (sx,), inv = slots, np.argsort(np.asarray(axes) % x.values.ndim)
 
     def rule(g, saved, acc):
@@ -608,7 +604,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError(f"concat: shapes {[t.shape for t in tensors]} along axis {axis}") from None
     slots = _slots(*tensors)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     sizes = [t.shape[axis] for t in tensors]
 
     def rule(g, saved, acc):
@@ -628,7 +624,7 @@ def getitem(x: Tensor, key) -> Tensor:
     out = x.values[key]
     slots = _slots(x)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     (sx,), x_shape = slots, x.shape
 
     def rule(g, saved, acc):
@@ -655,7 +651,7 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
     out = x.values[idx]
     slots = _slots(x)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     (sx,), x_shape = slots, x.shape
 
     def rule(g, saved, acc):
@@ -774,7 +770,7 @@ def neighborhood_attention(qkv: Tensor, table: np.ndarray, cos: np.ndarray, sin:
     out, q, k, v, weights = _attend(qkv.values, table, cos, sin, heads)
     slots = _slots(qkv)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     (sqkv,), t = slots, qkv.shape[0]
     centre = (cos.shape[1] - 1) // 2
 
@@ -980,7 +976,7 @@ def _conv_node(op: str, x: Tensor, w: Tensor, b: Tensor | None, geo: _Geometry,
         out += b.values[:, None, None]
     slots = _slots(x, w) if b is None else _slots(x, w, b)
     if slots is None:
-        return _value(out)
+        return Tensor(out, copy=False)
     sx, sw, sb = slots if b is not None else slots + (None,)
     w_shape = w.shape
 

@@ -190,7 +190,7 @@ class TestForecastEvaluate:
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         good.write_text(json.dumps({"rmse": {"sfc0": 1.0}}))
         bad.write_text(json.dumps(doc))
-        for a, b in ((bad, good), (good, bad)):
+        for a, b in ((bad, good), (good, bad), (bad, bad)):
             rc = main(["scorecard", "--a", str(a), "--b", str(b)])
             assert rc == 1
             assert capsys.readouterr().err.startswith("error: data: ")

@@ -471,7 +471,8 @@ class TestTrainDriver:
 
     @pytest.mark.parametrize("kwargs", [{"lr_max": math.nan}, {"lr_max": math.inf},
                                         {"lr_max": 0.0}, {"lr_max": -1e-3},
-                                        {"checkpoint_every": -1}])
+                                        {"checkpoint_every": -1}],
+                             ids=["lr-nan", "lr-inf", "lr-zero", "lr-negative", "every-negative"])
     def test_bad_numeric_setting_raises_before_any_step(self, tiny, tmp_path, kwargs):
         cfg, ds = tiny
         params = init_model_params(cfg, seed=0)

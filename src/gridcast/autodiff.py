@@ -1066,7 +1066,7 @@ def _backward_impl(root: Tensor, seed: np.ndarray, min_gen: int = 0):
 
     def add_grad(slot, g: np.ndarray):
         if slot is None:
-            return  # a constant: no gradient wanted
+            return  # a parent that wants no gradient
         cell = acc.get(id(slot))
         if cell is None:
             acc[id(slot)] = [slot, np.asarray(g, dtype=np.float64)]

@@ -22,7 +22,9 @@ weights the values in a (heads, T, K, dh) layout, then the output projection.
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +35,8 @@ from .grid import neighborhood
 
 __all__ = [
     "rotary_tables",
+    "AttentionPlan",
+    "attention_plan",
     "natten_block",
     "attention_weights",
     "block_layout",
@@ -49,9 +53,6 @@ def _pair_split(n_pairs: int) -> tuple[int, int, int]:
     return base, base, n_pairs - 2 * base
 
 
-_ROTARY_CACHE: dict = {}
-
-
 def rotary_tables(extents: tuple[int, int, int], head_dim: int, col_window: int | None = None):
     """cos/sin phase tables, each (T, C, head_dim // 2) float64.
 
@@ -64,10 +65,6 @@ def rotary_tables(extents: tuple[int, int, int], head_dim: int, col_window: int 
     phase 0: the query phases autodiff.neighborhood_attention takes per
     column tap.
     """
-    key = (tuple(extents), head_dim, col_window)
-    hit = _ROTARY_CACHE.get(key)
-    if hit is not None:
-        return hit
     if head_dim % 2 != 0:
         raise ConfigError(f"rotary head dim must be even, got {head_dim}")
     n_pairs = head_dim // 2
@@ -95,9 +92,46 @@ def rotary_tables(extents: tuple[int, int, int], head_dim: int, col_window: int 
     else:
         offsets = (taps - 1) // 2 - np.arange(taps)
         angles[:, :, pd + pr:] = 2.0 * math.pi * offsets[:, None] * wavenumbers[None, :] / w
-    tables = (np.cos(angles), np.sin(angles))
-    _ROTARY_CACHE[key] = tables
-    return tables
+    return np.cos(angles), np.sin(angles)
+
+
+class AttentionPlan(NamedTuple):
+    """What neighborhood attention reads of one geometry, all read-only.
+
+    table (T, K) and the query phases cos, sin (T, C, dh/2) are grid.neighborhood's
+    and rotary_tables'.  inverse (T, R) lists where each token sits in table as
+    ascending flat positions t*K + j, padded with T*K; src holds their t (T for a
+    pad) and q_row their per-tap query row t*C + c.
+    """
+    table: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    inverse: np.ndarray
+    src: np.ndarray
+    q_row: np.ndarray
+
+
+@functools.cache
+def attention_plan(extents: tuple[int, int, int], window: tuple[int, int, int],
+                   head_dim: int) -> AttentionPlan:
+    """The one AttentionPlan of a geometry, built on first use.
+
+    A window that does not fit or a bad head dim raises ConfigError, uncached.
+    """
+    table = neighborhood(extents, window)
+    cos, sin = rotary_tables(extents, head_dim, col_window=window[2])
+    t, k = table.shape
+    flat = table.ravel()
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat, minlength=t)
+    rank = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    inverse = np.full((t, counts.max()), flat.size)
+    inverse[flat[order], rank] = order
+    src, j = np.divmod(inverse, k)
+    plan = AttentionPlan(table, cos, sin, inverse, src, src * window[2] + j // (k // window[2]))
+    for a in plan:
+        a.setflags(write=False)
+    return plan
 
 
 def block_layout(dim: int, prefix: str, zero_residual: bool = True) -> list:
@@ -147,25 +181,18 @@ def _projection(x: Tensor, params: dict[str, Tensor], prefix: str,
                 extents: tuple[int, int, int], window: tuple[int, int, int], heads: int):
     """LN1 -> one GEMM onto the fused (T, 3 * dim) q/k/v projection.
 
-    Returns the projection, the neighbor table (T, K) and the rotary query
-    phases of the window's column taps.
+    Returns the projection and the geometry's attention plan.
     """
     t, dim = x.shape
-    d, h, w = extents
-    if t != d * h * w:
+    if t != math.prod(extents):
         raise ConfigError(f"token count {t} != prod of extents {extents}")
     if dim % heads != 0:
         raise ConfigError(f"dim {dim} not divisible by heads {heads}")
-    table = neighborhood(extents, window)  # (T, K), validates window fit
-    cos, sin = rotary_tables(extents, dim // heads, col_window=window[2])
-
-    def p(name):
-        return params[f"{prefix}.attn.{name}"]
-
+    plan = attention_plan(tuple(extents), tuple(window), dim // heads)
     hn = ad.layernorm(x, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"])
-    w_qkv = ad.concat([p("wq"), p("wk"), p("wv")], axis=1)
-    b_qkv = ad.concat([p("bq"), p("bk"), p("bv")])
-    return _linear(hn, w_qkv, b_qkv), table, cos, sin
+    w_qkv = ad.concat([params[f"{prefix}.attn.w{c}"] for c in "qkv"], axis=1)
+    b_qkv = ad.concat([params[f"{prefix}.attn.b{c}"] for c in "qkv"])
+    return _linear(hn, w_qkv, b_qkv), plan
 
 
 def natten_block(x: Tensor, params: dict[str, Tensor], prefix: str,
@@ -176,8 +203,8 @@ def natten_block(x: Tensor, params: dict[str, Tensor], prefix: str,
     def p(name):
         return params[f"{prefix}.{name}"]
 
-    qkv, table, cos, sin = _projection(x, params, prefix, extents, window, heads)
-    ctx = ad.neighborhood_attention(qkv, table, cos, sin, heads)
+    qkv, plan = _projection(x, params, prefix, extents, window, heads)
+    ctx = ad.neighborhood_attention(qkv, plan, heads)
     x = x + _linear(ctx, p("attn.wo"), p("attn.bo"))
 
     hn2 = ad.layernorm(x, p("ln2.gain"), p("ln2.bias"))
@@ -195,6 +222,5 @@ def attention_weights(x_values: np.ndarray, params: dict[str, Tensor], prefix: s
     autodiff.neighborhood_attention's numpy forward.
     """
     with ad.no_grad():
-        qkv, table, cos, sin = _projection(Tensor(x_values), params, prefix, extents,
-                                           window, heads)
-    return ad.neighborhood_weights(qkv.values, table, cos, sin, heads)
+        qkv, plan = _projection(Tensor(x_values), params, prefix, extents, window, heads)
+    return ad.neighborhood_weights(qkv.values, plan, heads)

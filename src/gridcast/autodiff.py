@@ -684,35 +684,18 @@ def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_attention(op: str, qkv_shape, table: np.ndarray, cos: np.ndarray, sin: np.ndarray,
-                     heads: int) -> None:
-    if len(qkv_shape) != 2 or heads < 1 or qkv_shape[1] % (3 * heads) != 0:
-        raise ShapeError(
-            f"{op}: qkv {qkv_shape} is not (T, 3 * dim) with dim divisible by {heads} heads")
-    t, dh = qkv_shape[0], qkv_shape[1] // (3 * heads)
-    if dh % 2 != 0:
-        raise ShapeError(f"{op}: head dim {dh} is odd; rotary phases need feature pairs")
-    if table.ndim != 2 or table.shape[0] != t or not np.issubdtype(table.dtype, np.integer):
-        raise ShapeError(f"{op}: neighbor table {table.shape} is not ({t}, K) integers")
-    if table.size and (table.min() < 0 or table.max() >= t):
-        raise ShapeError(f"{op}: neighbor index out of range for {t} tokens")
-    if cos.shape != sin.shape or cos.ndim != 3 or cos.shape[0] != t or cos.shape[2] != dh // 2:
-        raise ShapeError(f"{op}: phases {cos.shape}/{sin.shape} are not ({t}, C, {dh // 2})")
-    if table.shape[1] % cos.shape[1] != 0:
-        raise ShapeError(
-            f"{op}: {table.shape[1]} neighbors do not split into {cos.shape[1]} column taps")
-
-
-def _attend(qkv: np.ndarray, table: np.ndarray, cos: np.ndarray, sin: np.ndarray, heads: int):
+def _attend(op: str, qkv: np.ndarray, plan, heads: int):
     """numpy forward of neighborhood_attention, in the (heads, T, K, dh) layout.
 
-    Returns the context (T, dim) and what the backward keeps: the rotated,
-    scaled queries q (heads, T, C, dh), the rotated keys k and the values v
-    (heads, T, dh), and the softmax weights (heads, T, K).
+    Checks qkv against the plan.  Returns the context (T, dim) and what the
+    backward keeps: the rotated, scaled queries q (heads, T, C, dh), the
+    rotated keys k and the values v (heads, T, dh), and the softmax weights
+    (heads, T, K).
     """
-    t, width = qkv.shape
-    dh = width // (3 * heads)
-    centre = (cos.shape[1] - 1) // 2
+    table, cos, sin = plan.table, plan.cos, plan.sin
+    t, dh, centre = table.shape[0], 2 * cos.shape[2], (cos.shape[1] - 1) // 2
+    if heads < 1 or qkv.shape != (t, 3 * heads * dh):
+        raise ShapeError(f"{op}: qkv {qkv.shape} is not ({t}, 3 * {heads} heads * {dh})")
     x = qkv.reshape(t, 3, heads, dh).transpose(1, 2, 0, 3)  # (3, heads, T, dh) view
     q = rotate_pairs(x[0][:, :, None, :], cos, sin)
     q *= 1.0 / math.sqrt(dh)
@@ -728,87 +711,61 @@ def _attend(qkv: np.ndarray, table: np.ndarray, cos: np.ndarray, sin: np.ndarray
     return out, q, k, v, weights
 
 
-def _inverse_table(table: np.ndarray, extent: int) -> np.ndarray:
-    """Where each token sits in table: (extent, R) flat positions t*K + j.
-
-    Row n lists every position holding n in ascending order, padded at the
-    end with table.size; R is the largest count.
-    """
-    flat = table.ravel()
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=extent)
-    rank = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    inv = np.full((extent, counts.max(initial=0)), flat.size)
-    inv[flat[order], rank] = order
-    return inv
-
-
-def neighborhood_attention(qkv: Tensor, table: np.ndarray, cos: np.ndarray, sin: np.ndarray,
-                           heads: int) -> Tensor:
+def neighborhood_attention(qkv: Tensor, plan, heads: int) -> Tensor:
     """Rotary neighborhood attention from a fused projection, as one tape node.
 
     qkv (T, 3*dim) holds the query, key and value projections side by side,
-    each split into heads of dh = dim / heads features.  Token t attends to
-    the K tokens table[t].  cos and sin (T, C, dh/2) are rotary phases: the
-    K neighbors split into C runs, one per column tap as grid.neighborhood
-    orders them; the query of t takes phase [t, c] against the neighbors of
-    run c, and each key takes its own token's phase at the centre tap
-    (C - 1) // 2.  With C = 1 that is plain rotary attention;
-    attention.rotary_tables explains the column taps.
-    Scores carry the 1/sqrt(dh) scale, a shifted softmax over the K neighbors
-    weights the values, and the context (T, dim) is returned.
+    each split into heads of dh = dim / heads features.  plan is the
+    geometry's attention.AttentionPlan, built and checked once; only qkv's
+    shape is checked here.  Token t attends to the K tokens plan.table[t],
+    which split into C runs, one per column tap.  The query of t takes the
+    rotary phases plan.cos/sin[t, c] against run c, and each key its own
+    token's phases at the centre tap (C - 1) // 2; attention.rotary_tables
+    explains them.  Scores carry the 1/sqrt(dh) scale, a shifted softmax over
+    the K neighbors weights the values, and the context (T, dim) is returned.
 
-    Backward keeps only the rotated q, k, v and the weights and gathers the
-    neighbors again.  Each key and value sums its gradient over the window
-    positions that hold it, listed in ascending order by _inverse_table, in
-    one batched dot: no scatter, and a token in several windows sums in a
-    fixed order.
+    Backward keeps only the rotated q, k, v and the weights, gathers the
+    neighbors again, and sums each key's and value's gradient over the window
+    positions plan.inverse lists, ascending, in one batched dot: no scatter,
+    no sort, and a token in several windows sums in a fixed order.
     """
     qkv._check_alive("neighborhood_attention")
-    table = np.asarray(table)
-    _check_attention("neighborhood_attention", qkv.shape, table, cos, sin, heads)
-    out, q, k, v, weights = _attend(qkv.values, table, cos, sin, heads)
+    out, q, k, v, weights = _attend("neighborhood_attention", qkv.values, plan, heads)
     slots = _slots(qkv)
     if slots is None:
         return Tensor(out, copy=False)
     (sqkv,), t = slots, qkv.shape[0]
-    centre = (cos.shape[1] - 1) // 2
+    centre = (plan.cos.shape[1] - 1) // 2
 
     def rule(g, saved, acc):
         q, k, v, w = saved
         h, _, taps, dh = q.shape
         g4 = g.reshape(t, h, dh).transpose(1, 0, 2)  # (heads, T, dh) view
-        kn = np.take(k, table, axis=1)
-        vn = np.take(v, table, axis=1)
+        kn = np.take(k, plan.table, axis=1)
+        vn = np.take(v, plan.table, axis=1)
         gw = np.matmul(vn, g4[..., None])[..., 0]
         gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
         gq = np.matmul(gs.reshape(h, t, taps, 1, -1), kn.reshape(h, t, taps, -1, dh))[..., 0, :]
-        gq = rotate_pairs(gq * (1.0 / math.sqrt(dh)), cos, -sin).sum(axis=2)
+        gq = rotate_pairs(gq * (1.0 / math.sqrt(dh)), plan.cos, -plan.sin).sum(axis=2)
         # each key and value sums its neighbor gradients over the (t, j) that
         # hold it, ascending, as one batched dot with padding zeros
-        inv = _inverse_table(table, t)  # (T, R) flat t*K + j, padded with T*K
-        src, j = np.divmod(inv, table.shape[1])  # token T for a pad
-        q_row = src * taps + j // (table.shape[1] // taps)  # tap of j's run
         pad, zero_row = np.zeros((h, 1)), np.zeros((h, 1, dh))
-        gs_t = np.concatenate([gs.reshape(h, -1), pad], axis=1)[:, inv]
-        w_t = np.concatenate([w.reshape(h, -1), pad], axis=1)[:, inv]
+        gs_t = np.concatenate([gs.reshape(h, -1), pad], axis=1)[:, plan.inverse]
+        w_t = np.concatenate([w.reshape(h, -1), pad], axis=1)[:, plan.inverse]
         q_rows = np.concatenate([q.reshape(h, -1, dh), zero_row], axis=1)
         g_rows = np.concatenate([g4, zero_row], axis=1)
-        gk = np.matmul(gs_t[:, :, None, :], np.take(q_rows, q_row, axis=1))
-        gv = np.matmul(w_t[:, :, None, :], np.take(g_rows, src, axis=1))
-        gk = rotate_pairs(gk[:, :, 0], cos[:, centre], -sin[:, centre])
+        gk = np.matmul(gs_t[:, :, None, :], np.take(q_rows, plan.q_row, axis=1))
+        gv = np.matmul(w_t[:, :, None, :], np.take(g_rows, plan.src, axis=1))
+        gk = rotate_pairs(gk[:, :, 0], plan.cos[:, centre], -plan.sin[:, centre])
         gqkv = np.stack([gq, gk, gv[:, :, 0]]).transpose(2, 0, 1, 3)  # (T, 3, heads, dh)
         acc(sqkv, np.ascontiguousarray(gqkv).reshape(t, -1))
 
     return _record("neighborhood_attention", out, slots, (q, k, v, weights), rule)
 
 
-def neighborhood_weights(qkv: np.ndarray, table: np.ndarray, cos: np.ndarray, sin: np.ndarray,
-                         heads: int) -> np.ndarray:
+def neighborhood_weights(qkv: np.ndarray, plan, heads: int) -> np.ndarray:
     """Softmax weights (T, heads, K) of neighborhood_attention, no tape."""
-    table = np.asarray(table)
-    _check_attention("neighborhood_weights", qkv.shape, table, cos, sin, heads)
-    weights = _attend(qkv, table, cos, sin, heads)[4]
+    weights = _attend("neighborhood_weights", qkv, plan, heads)[4]
     return np.ascontiguousarray(np.moveaxis(weights, 0, 1))
 
 

@@ -8,7 +8,8 @@ versions, output paths, and wall time.
 
 Exit codes: 0 on success; 1 on a handled failure, with a single
 machine-parseable line "error: <category>: message" on stderr where
-category is one of io, config, data, compute; 2 for usage errors.
+category is one of io, config, data, compute (a NaN or inf result) or
+internal (any other failure, a bug); 2 for usage errors.
 
 The environment variable GRIDCAST_OUT_DIR, when set, is prepended to
 relative output paths. It affects nothing else.
@@ -29,12 +30,14 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericsError
 from .model import (
+    PRIMARY_SOURCE,
     available_sources,
     config_to_dict,
     init_model_params,
     load_config,
+    model_layout,
     source_stream,
 )
 from .rollout import forecast, greedy_plan
@@ -96,12 +99,25 @@ def write_manifest(target, command, config: dict, seed, outputs, wall_time_s):
     return path
 
 
-def _load_params_tensors(path) -> dict:
-    """Parameters as leaf tensors; the first tensor that is not all finite is a DataError."""
+def _load_params_tensors(path, cfg) -> dict:
+    """Parameters as leaf tensors, checked against model_layout(cfg, the file's encoders)."""
     blobs = load_params_file(path)
-    bad = next((k for k, v in blobs.items() if not np.isfinite(v).all()), None)
-    if bad is not None:
-        raise DataError(f"{path}: parameter {bad} is not finite")
+    try:
+        extras = tuple(s for s in available_sources(blobs) if s != PRIMARY_SOURCE)
+    except ConfigError as e:
+        raise DataError(f"{path}: {e}") from None
+    stacks = {k.split(".")[0] for k in blobs}  # a wholly absent processor is the rollout's error
+    want = {k: shape for k, shape, _ in model_layout(cfg, extra_sources=extras)
+            if not k.startswith("proc") or k.split(".")[0] in stacks}
+    if "blend.logits" in blobs:  # one logit per encoder
+        want["blend.logits"] = (1 + len(extras),)
+    for k in sorted(want.keys() | blobs.keys()):
+        got = blobs[k].shape if k in blobs else "absent"
+        if got != want.get(k, "absent"):
+            raise DataError(f"{path}: parameter {k} is {got} in the file and "
+                            f"{want.get(k, 'absent')} in the model")
+        if not np.isfinite(blobs[k]).all():
+            raise DataError(f"{path}: parameter {k} is not finite")
     return {k: Tensor(v, requires_grad=True) for k, v in blobs.items()}
 
 
@@ -131,7 +147,7 @@ def _cmd_train(args, argv) -> int:
     cfg = load_config(args.config)
     ds = load_dataset_file(args.data)
     if args.params:
-        params = _load_params_tensors(args.params)
+        params = _load_params_tensors(args.params, cfg)
     else:
         params = init_model_params(cfg, seed=args.seed)
     if args.stage == "operational":
@@ -157,7 +173,7 @@ def _cmd_train(args, argv) -> int:
 def _cmd_forecast(args, argv) -> int:
     t0 = time.time()
     cfg = load_config(args.config)
-    params = _load_params_tensors(args.params)
+    params = _load_params_tensors(args.params, cfg)
     # only the init hour is kept (None: the file's last hour)
     ds = load_dataset_file(args.init, hours=(args.init_hour,))
     init_hour = args.init_hour if args.init_hour is not None else int(ds.times[-1])
@@ -263,15 +279,18 @@ def _cmd_scorecard(args, argv) -> int:
         doc_b = json.load(f)
     rmse_a, rmse_b = _report_rmse(doc_a, "a"), _report_rmse(doc_b, "b")
     pct = score(rmse_a, rmse_b)
+    bad = next((k for k in sorted(pct) if not math.isfinite(pct[k])), None)
+    if bad is not None:
+        raise DataError(f"file b: rmse {bad!r} is {rmse_b[bad]!r}, no baseline to divide by")
     width = max(len(k) for k in pct)
     for k in sorted(pct):
         print(f"{k:<{width}}  {rmse_a[k]:12.6f}  {rmse_b[k]:12.6f}  {pct[k]:+8.3f}%")
     if args.out:
         out = _resolve_out(args.out)
         _ensure_parent(out)
+        text = json.dumps({"percent_vs_baseline": pct}, indent=2, sort_keys=True, allow_nan=False)
         with open(out, "w") as f:
-            json.dump({"percent_vs_baseline": pct}, f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(text + "\n")
         write_manifest(out, argv, {}, None, [out], time.time() - t0)
     return 0
 
@@ -360,9 +379,9 @@ def _categorize(exc: BaseException) -> str:
         return "io"
     if isinstance(exc, ConfigError):
         return "config"
-    if isinstance(exc, (DataError, ContainerError, json.JSONDecodeError)):
+    if isinstance(exc, (DataError, ContainerError, json.JSONDecodeError, UnicodeDecodeError)):
         return "data"
-    return "compute"
+    return "compute" if isinstance(exc, NumericsError) else "internal"
 
 
 def main(argv=None) -> int:

@@ -104,9 +104,6 @@ def bump_starts(extent: int, window: int) -> np.ndarray:
     return np.clip(np.arange(extent) - half, 0, extent - window)
 
 
-_NEIGHBOR_CACHE: dict = {}
-
-
 def neighborhood(extents: tuple[int, int, int], window: tuple[int, int, int]) -> np.ndarray:
     """Flat neighbor table of shape (T, K) over a (depth, row, col) box.
 
@@ -116,10 +113,6 @@ def neighborhood(extents: tuple[int, int, int], window: tuple[int, int, int]) ->
     slowest, so each column tap's neighbors are one contiguous run; the
     attention scores group them that way.
     """
-    key = (tuple(extents), tuple(window))
-    hit = _NEIGHBOR_CACHE.get(key)
-    if hit is not None:
-        return hit
     d, h, w = extents
     wd, wh, ww = window
     if ww > w:
@@ -130,10 +123,7 @@ def neighborhood(extents: tuple[int, int, int], window: tuple[int, int, int]) ->
     flat = (d_idx[:, None, None, None, :, None] * (h * w)
             + h_idx[None, :, None, None, None, :] * w
             + w_idx[None, None, :, :, None, None])
-    table = np.ascontiguousarray(flat.reshape(d * h * w, wd * wh * ww), dtype=np.int64)
-    table.setflags(write=False)
-    _NEIGHBOR_CACHE[key] = table
-    return table
+    return np.ascontiguousarray(flat.reshape(d * h * w, wd * wh * ww), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

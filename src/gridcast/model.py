@@ -22,7 +22,7 @@ from typing import get_origin, get_type_hints
 import numpy as np
 
 from . import autodiff as ad
-from .attention import block_layout, draw_params, natten_block
+from .attention import attention_plan, block_layout, draw_params, natten_block
 from .autodiff import Tensor
 from .errors import ConfigError
 from .grid import GridSpec, N_STATIC_FIELDS, desk_grid, quarter_degree_grid, static_fields
@@ -343,6 +343,9 @@ def encode(state: WeatherState, params: dict, cfg: ModelConfig,
             f"atmos shape {state.atmos.shape} != "
             f"{(cfg.atmos_vars, cfg.levels, g.rows, g.cols)}")
     CALL_COUNTS["encode"] += 1
+    # built before the pyramid allocates: made mid-graph, the long-lived plan kept
+    # glibc from returning the freed graph (desk train peak RSS 207, not 189 MiB)
+    attention_plan(cfg.latent_extents, cfg.window, cfg.hidden // cfg.heads)
 
     sfc = np.concatenate([state.surface, static_fields(g)], axis=0)[None]
     a, p = cfg.atmos_vars, cfg.level_patch  # level group j is a (A*p, H, W) plane
@@ -502,28 +505,32 @@ def save_config(path, cfg: ModelConfig) -> None:
 
 def load_config(path) -> ModelConfig:
     d: dict = {}
-    with open(path) as f:
-        for ln, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key = value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-            ty = _CONFIG_KEYS[key]
-            try:
-                if ty is bool:
-                    if val not in ("true", "false"):
-                        raise ValueError
-                    d[key] = val == "true"
-                elif ty is tuple:
-                    d[key] = tuple(int(x) for x in val.split(","))
-                else:
-                    d[key] = ty(val)
-            except ValueError:
-                raise ConfigError(f"{path}:{ln}: bad value {val!r} for {key}") from None
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+    for ln, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{ln}: expected key = value")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+        ty = _CONFIG_KEYS[key]
+        try:
+            if ty is bool:
+                if val not in ("true", "false"):
+                    raise ValueError
+                d[key] = val == "true"
+            elif ty is tuple:
+                d[key] = tuple(int(x) for x in val.split(","))
+            else:
+                d[key] = ty(val)
+        except ValueError:
+            raise ConfigError(f"{path}:{ln}: bad value {val!r} for {key}") from None
     missing = set(_CONFIG_KEYS) - set(d)
     if missing:
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import gridcast.autodiff as ad
 from gridcast.attention import (
+    attention_plan,
     attention_weights,
     init_block_params,
     natten_block,
@@ -273,9 +274,8 @@ def _rel(a, b):
 
 
 def _primitive(qkv, extents, window, heads):
-    dh = qkv.shape[1] // (3 * heads)
-    cos, sin = rotary_tables(extents, dh, col_window=window[2])
-    return ad.neighborhood_attention(qkv, neighborhood(extents, window), cos, sin, heads)
+    plan = attention_plan(extents, window, qkv.shape[1] // (3 * heads))
+    return ad.neighborhood_attention(qkv, plan, heads)
 
 
 def _check_primitive_against_oracle(extents, window, heads, dh, seed):
@@ -293,8 +293,7 @@ def _check_primitive_against_oracle(extents, window, heads, dh, seed):
     ref = backward(ref_out, seed=seed_out, leaves=[ref_in])[ref_in]
     assert _rel(out.values, ref_out.values) < 1e-13
     assert _rel(got, ref) < 1e-13
-    cos, sin = rotary_tables(extents, dh, col_window=window[2])
-    shown = ad.neighborhood_weights(qkv_np, neighborhood(extents, window), cos, sin, heads)
+    shown = ad.neighborhood_weights(qkv_np, attention_plan(extents, window, dh), heads)
     assert _rel(shown, weights) < 1e-13
 
 
@@ -352,9 +351,9 @@ class TestFusedPrimitive:
     def test_inverse_table_lists_every_window_position_in_order(self):
         # bumped depth and row windows put boundary tokens in more windows
         # than a token has neighbors; backward sums over exactly these lists
-        table = neighborhood((3, 5, 6), (3, 3, 3))
+        plan = attention_plan((3, 5, 6), (3, 3, 3), 6)
+        table, inv = plan.table, plan.inverse
         t, k = table.shape
-        inv = ad._inverse_table(table, t)
         counts = np.bincount(table.ravel(), minlength=t)
         assert counts.max() > k and inv.shape == (t, counts.max())
         for n in range(t):
@@ -364,14 +363,34 @@ class TestFusedPrimitive:
 
     def test_bad_inputs_raise_shape_error(self):
         qkv = Tensor(RNG.standard_normal((6, 36)))
-        table = np.zeros((6, 3), dtype=np.int64)
-        cos = np.ones((6, 3, 3))
+        plan = attention_plan((1, 2, 3), (1, 1, 3), 6)
         with pytest.raises(ad.ShapeError):
-            ad.neighborhood_attention(qkv, table, cos, cos, 5)  # 36 not 3 * 5 * dh
+            ad.neighborhood_attention(qkv, plan, 5)  # 36 not 3 * 5 * 6
         with pytest.raises(ad.ShapeError):
-            ad.neighborhood_attention(qkv, table + 6, cos, cos, 2)  # index out of range
-        with pytest.raises(ad.ShapeError):
-            ad.neighborhood_attention(qkv, table, cos[:, :2], cos[:, :2], 2)  # 3 taps into 2
+            ad.neighborhood_weights(qkv.values[:5], plan, 2)  # 5 tokens, plan has 6
+
+    @pytest.mark.parametrize("window, head_dim", [((1, 3, 1), 6), ((1, 1, 4), 6),
+                                                   ((1, 1, 3), 7), ((1, 1, 3), 4)])
+    def test_bad_geometry_raises_config_error_while_the_plan_is_built(self, window, head_dim):
+        with pytest.raises(ConfigError):
+            attention_plan((1, 2, 3), window, head_dim)
+
+    def test_plan_is_built_once_read_only_and_sorts_nothing_in_backward(self, monkeypatch):
+        plan = attention_plan(DESK_EXT, DESK_WIN, DESK_DIM // DESK_HEADS)
+        assert attention_plan(DESK_EXT, DESK_WIN, DESK_DIM // DESK_HEADS) is plan
+        for name, arr in plan._asdict().items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
+        params = init_block_params(np.random.default_rng(5), DESK_DIM, DESK_HEADS, "blk",
+                                   zero_residual=False)
+        x = Tensor(RNG.standard_normal((int(np.prod(DESK_EXT)), DESK_DIM)), requires_grad=True)
+        y = natten_block(x, params, "blk", DESK_EXT, DESK_WIN, DESK_HEADS)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("backward sorted an index table")
+        monkeypatch.setattr(np, "argsort", no_sort)
+        assert backward(y.sum(), leaves=[x])[x].shape == x.shape
 
 
 class TestFusedBlock:

@@ -15,6 +15,7 @@ import pytest
 from gridcast import autodiff as ad
 from gridcast import cli, training
 from gridcast.cli import main
+from gridcast.errors import NumericsError
 from gridcast.model import (available_sources, config_from_dict, decode, encode,
                             encode_sources, init_model_params, load_config,
                             save_config, tiny_config)
@@ -87,6 +88,27 @@ class TestGenData:
                    "--out", str(tmp_path / "d.wmd3")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: config: ")
+
+
+    def test_binary_config_is_config_error(self, tmp_path, spec_file, capsys):
+        bad = tmp_path / "binary.cfg"
+        bad.write_bytes(Path(spec_file).read_bytes()[:128] + b"\x80\xff\n")
+        rc = main(["gen-data", "--spec", str(bad), "--hours", "4",
+                   "--out", str(tmp_path / "d.wmd3")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and str(bad) in err, err
+
+    @pytest.mark.parametrize("exc, category", [
+        (KeyError("proc6.blk1.mlp.w2"), "internal"), (ZeroDivisionError("x"), "internal"),
+        (RuntimeError("x"), "internal"), (NumericsError("loss is not finite"), "compute"),
+    ])
+    def test_only_numerics_errors_are_compute(self, capsys, monkeypatch, exc, category):
+        def fail(args, argv):
+            raise exc
+        monkeypatch.setitem(cli._HANDLERS, "verify", fail)
+        assert main(["verify"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {category}: ")
 
 
 class TestTrain:
@@ -184,12 +206,15 @@ class TestForecastEvaluate:
 
     @pytest.mark.parametrize("doc", [
         {"rmse": {"sfc0": "x"}}, {"rmse": {}}, {"rmse": {"sfc0": float("nan")}},
-        {"rmse": {"sfc0": True}}, {"rmse": [1.0]}, [1.0],
-    ], ids=["string", "empty", "nan", "bool", "list", "not-a-report"])
+        {"rmse": {"sfc0": True}}, {"rmse": [1.0]}, [1.0], b'{"rmse": {"sfc0": 1.0}}\x80\xff',
+    ], ids=["string", "empty", "nan", "bool", "list", "not-a-report", "binary"])
     def test_bad_scorecard_report_is_data_error(self, tmp_path, capsys, doc):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         good.write_text(json.dumps({"rmse": {"sfc0": 1.0}}))
-        bad.write_text(json.dumps(doc))
+        if isinstance(doc, bytes):
+            bad.write_bytes(doc)
+        else:
+            bad.write_text(json.dumps(doc))
         for a, b in ((bad, good), (good, bad), (bad, bad)):
             rc = main(["scorecard", "--a", str(a), "--b", str(b)])
             assert rc == 1
@@ -208,6 +233,67 @@ class TestForecastEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: data: ") and "dec.head_sfc.b" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, shape, named", [
+        ("proc6.blk1.mlp.w2", None, "proc6.blk1.mlp.w2"),
+        ("enc.stem_sfc.b", None, "enc.stem_sfc.b"),
+        ("proc6.blk0.attn.wq", (3, 3), "proc6.blk0.attn.wq"),
+        ("dec.head_atm.w", (8, 16, 3, 3), "dec.head_atm.w"),
+        ("proc6.blk9.attn.wq", (12, 12), "proc6.blk9.attn.wq"),
+        # one tensor of an extra encoder: the first of its missing ones is named
+        ("enc_op.op1.stem_sfc.w", (16, 10, 3, 3), "enc_op.op1.blk0.attn.bk"),
+    ], ids=["missing-proc", "missing-enc", "reshaped-wq", "reshaped-head", "unknown",
+            "encoder-part"])
+    def test_params_not_matching_the_model_are_data_error(self, tmp_path, spec_file, data_file,
+                                                          capsys, name, shape, named):
+        blobs = {k: v.values for k, v in init_model_params(tiny_config(), seed=4).items()}
+        if shape is None:
+            del blobs[name]
+        else:
+            blobs[name] = np.zeros(shape)
+        params, out = str(tmp_path / "bad.lmtw"), tmp_path / "fc.lmtw"
+        save_params_file(params, blobs)
+        for cmd in (["forecast", "--init", data_file, "--dt", "6", "--out", str(out)],
+                    ["train", "--data", data_file, "--stage", "pretrain", "--steps", "1",
+                     "--out", str(tmp_path / "run")]):
+            rc = main(cmd + ["--config", spec_file, "--params", params])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: data: ") and named in err, err
+        assert not out.exists() and not (tmp_path / "run" / "train_log.csv").exists()
+
+    @pytest.mark.parametrize("logits", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]],
+                             ids=["short", "long", "2-d"])
+    def test_blend_logits_not_one_per_encoder_are_data_error(self, tmp_path, spec_file,
+                                                             data_file, capsys, logits):
+        params, out = two_source_params(tmp_path, logits), str(tmp_path / "fc.lmtw")
+        rc = main(["forecast", "--config", spec_file, "--params", params, "--init",
+                   data_file, "--dt", "6", "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and "blend.logits" in err, err
+
+    def test_wholly_absent_processor_keeps_its_error(self, tmp_path, spec_file, data_file,
+                                                     capsys):
+        blobs = {k: v.values for k, v in init_model_params(tiny_config(), seed=4).items()
+                 if not k.startswith("proc1.")}
+        params = str(tmp_path / "six.lmtw")
+        save_params_file(params, blobs)
+        base = ["forecast", "--config", spec_file, "--params", params, "--init", data_file]
+        assert main(base + ["--dt", "6", "--out", str(tmp_path / "a.lmtw")]) == 0
+        assert main(base + ["--dt", "7", "--out", str(tmp_path / "b.lmtw")]) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "error: config: parameters carry no 1 h processor, required by the plan"
+
+    def test_zero_baseline_scorecard_is_data_error(self, tmp_path, capsys):
+        a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "sc.json"
+        a.write_text(json.dumps({"rmse": {"sfc0": 1.0, "sfc1": 2.0}}))
+        b.write_text(json.dumps({"rmse": {"sfc0": 0.0, "sfc1": 1.0}}))
+        rc = main(["scorecard", "--a", str(a), "--b", str(b), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and "'sfc0'" in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("name, stage", [

@@ -115,6 +115,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_load_rejects_text_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.cfg"
+        save_config(path, desk_config())
+        path.write_bytes(path.read_bytes()[:128] + b"\x80\xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8 text") as err:
+            load_config(path)
+        assert str(path) in str(err.value)
+
     def test_dict_round_trip(self):
         cfg = tiny_config()
         assert config_from_dict(config_to_dict(cfg)) == cfg

@@ -17,7 +17,17 @@ Block layout is pre-norm: x + attn(norm(x)), then x + mlp(norm(x)) with a
 4x GELU expansion.  The attention half is LN1, one GEMM onto the fused
 (T, 3 * dim) query/key/value projection, then autodiff.neighborhood_attention:
 one tape node that rotates, gathers the neighbors, scores, softmaxes and
-weights the values in a (heads, T, K, dh) layout, then the output projection.
+weights the values, then the output projection.
+
+Memory layout.  The projection's columns stay in (q|k|v, head, feature)
+order.  The rotations gather q's and k's columns once, by the plan's
+qk_cols, into (half, head, pair) order, so each rotary half of every head is
+one contiguous run of heads * dh/2 columns that meets phases tiled across
+heads in long elementwise passes; the backward's inverse rotations run the
+same way and write back through qk_cols.  Rotation is elementwise, so its
+bits do not depend on the layout.  The score einsum, the softmax and the
+context matmul sum over dh and K, and keep the (heads, T, K, dh) layout so
+that their sums run in the same order.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from .grid import neighborhood
 __all__ = [
     "rotary_tables",
     "AttentionPlan",
+    "BackwardPlan",
     "attention_plan",
     "natten_block",
     "attention_weights",
@@ -96,30 +107,48 @@ def rotary_tables(extents: tuple[int, int, int], head_dim: int, col_window: int 
 
 
 class AttentionPlan(NamedTuple):
-    """What neighborhood attention reads of one geometry, all read-only.
+    """What neighborhood attention's forward reads of one geometry, all read-only.
 
-    table (T, K) and the query phases cos, sin (T, C, dh/2) are grid.neighborhood's
-    and rotary_tables'.  inverse (T, R) lists where each token sits in table as
-    ascending flat positions t*K + j, padded with T*K; src holds their t (T for a
-    pad) and q_row their per-tap query row t*C + c.
+    table (T, K) is grid.neighborhood's.  The rotary phases are rotary_tables',
+    tiled across heads to match qk_cols: cos_q, sin_q (T, C, heads, dh/2) per
+    column tap, cos_k, sin_k (T, heads, dh/2) at the centre tap (C - 1) // 2.
+    qk_cols (2 * heads * dh,) lists qkv's query columns, then its key columns,
+    each in (half, head, pair) order, so a gather through it leaves every
+    rotary half of every head one contiguous run of heads * dh/2 columns.
     """
     table: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
+    cos_q: np.ndarray
+    sin_q: np.ndarray
+    cos_k: np.ndarray
+    sin_k: np.ndarray
+    qk_cols: np.ndarray
+
+    def backward(self) -> BackwardPlan:
+        """This plan's BackwardPlan, built on the first call and kept with the plan."""
+        held = _BACKWARD_PLANS.get(id(self))
+        if held is None:
+            held = _BACKWARD_PLANS[id(self)] = (self, _backward_plan(self.table,
+                                                                      self.cos_q.shape[1]))
+        return held[1]
+
+
+class BackwardPlan(NamedTuple):
+    """What neighborhood attention's backward alone reads of a geometry, read-only.
+
+    inverse (T, R) lists where each token sits in the table as ascending flat
+    positions t*K + j, padded with T*K; src holds their t (T for a pad) and
+    q_row their per-tap query row t*C + c.  A no_grad forward never builds it.
+    """
     inverse: np.ndarray
     src: np.ndarray
     q_row: np.ndarray
 
 
-@functools.cache
-def attention_plan(extents: tuple[int, int, int], window: tuple[int, int, int],
-                   head_dim: int) -> AttentionPlan:
-    """The one AttentionPlan of a geometry, built on first use.
+# id(plan) -> (plan, its BackwardPlan); holding the plan keeps its id from being reused
+_BACKWARD_PLANS: dict[int, tuple[AttentionPlan, BackwardPlan]] = {}
 
-    A window that does not fit or a bad head dim raises ConfigError, uncached.
-    """
-    table = neighborhood(extents, window)
-    cos, sin = rotary_tables(extents, head_dim, col_window=window[2])
+
+def _backward_plan(table: np.ndarray, taps: int) -> BackwardPlan:
     t, k = table.shape
     flat = table.ravel()
     order = np.argsort(flat, kind="stable")
@@ -128,7 +157,28 @@ def attention_plan(extents: tuple[int, int, int], window: tuple[int, int, int],
     inverse = np.full((t, counts.max()), flat.size)
     inverse[flat[order], rank] = order
     src, j = np.divmod(inverse, k)
-    plan = AttentionPlan(table, cos, sin, inverse, src, src * window[2] + j // (k // window[2]))
+    plan = BackwardPlan(inverse, src, src * taps + j // (k // taps))
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
+@functools.cache
+def attention_plan(extents: tuple[int, int, int], window: tuple[int, int, int],
+                   head_dim: int, heads: int) -> AttentionPlan:
+    """The one AttentionPlan of a geometry and head split, built on first use.
+
+    A window that does not fit or a bad head dim raises ConfigError, uncached.
+    """
+    table = neighborhood(extents, window)
+    cos, sin = rotary_tables(extents, head_dim, col_window=window[2])
+    half, centre = head_dim // 2, (window[2] - 1) // 2
+    cos_q, sin_q = (np.repeat(a[:, :, None, :], heads, axis=2) for a in (cos, sin))
+    qk_cols = (np.arange(2)[:, None, None, None] * heads * head_dim
+               + np.arange(2)[None, :, None, None] * half
+               + np.arange(heads)[None, None, :, None] * head_dim + np.arange(half)).ravel()
+    plan = AttentionPlan(table, cos_q, sin_q, cos_q[:, centre].copy(), sin_q[:, centre].copy(),
+                         qk_cols)
     for a in plan:
         a.setflags(write=False)
     return plan
@@ -188,7 +238,7 @@ def _projection(x: Tensor, params: dict[str, Tensor], prefix: str,
         raise ConfigError(f"token count {t} != prod of extents {extents}")
     if dim % heads != 0:
         raise ConfigError(f"dim {dim} not divisible by heads {heads}")
-    plan = attention_plan(tuple(extents), tuple(window), dim // heads)
+    plan = attention_plan(tuple(extents), tuple(window), dim // heads, heads)
     hn = ad.layernorm(x, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"])
     w_qkv = ad.concat([params[f"{prefix}.attn.w{c}"] for c in "qkv"], axis=1)
     b_qkv = ad.concat([params[f"{prefix}.attn.b{c}"] for c in "qkv"])

@@ -345,7 +345,9 @@ def encode(state: WeatherState, params: dict, cfg: ModelConfig,
     CALL_COUNTS["encode"] += 1
     # built before the pyramid allocates: made mid-graph, the long-lived plan kept
     # glibc from returning the freed graph (desk train peak RSS 207, not 189 MiB)
-    attention_plan(cfg.latent_extents, cfg.window, cfg.hidden // cfg.heads)
+    plan = attention_plan(cfg.latent_extents, cfg.window, cfg.hidden // cfg.heads, cfg.heads)
+    if ad.grad_enabled():
+        plan.backward()
 
     sfc = np.concatenate([state.surface, static_fields(g)], axis=0)[None]
     a, p = cfg.atmos_vars, cfg.level_patch  # level group j is a (A*p, H, W) plane

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gridcast.attention as attention
 import gridcast.autodiff as ad
 from gridcast.attention import (
     attention_plan,
@@ -31,6 +32,13 @@ def make_params(zero_residual=False, seed=0):
 
 def run_block(x_np, params, ext=EXT, win=WIN):
     return natten_block(Tensor(x_np), params, "blk", ext, win, HEADS)
+
+
+def rotate(x, cos, sin):
+    """Rotate the feature pairs (x[..., i], x[..., i + dh/2]) by the phases."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
 class TestRotary:
@@ -73,8 +81,8 @@ class TestRotary:
         def dot_at(p1, p2):
             qq = np.repeat(q, w, axis=0)
             kk = np.repeat(k, w, axis=0)
-            rq = ad.rotate_pairs(qq, cos, sin)
-            rk = ad.rotate_pairs(kk, cos, sin)
+            rq = rotate(qq, cos, sin)
+            rk = rotate(kk, cos, sin)
             return float((rq[p1, 0] * rk[p2, 0]).sum())
 
         base = dot_at(5, 2)
@@ -86,7 +94,7 @@ class TestRotary:
     def test_rotation_preserves_norm(self):
         cos, sin = rotary_tables(EXT, 8)
         x = RNG.standard_normal((np.prod(EXT), 2, 8))
-        y = ad.rotate_pairs(x, cos, sin)
+        y = rotate(x, cos, sin)
         np.testing.assert_allclose(
             (y**2).sum(axis=-1), (x**2).sum(axis=-1), rtol=1e-12)
 
@@ -274,7 +282,7 @@ def _rel(a, b):
 
 
 def _primitive(qkv, extents, window, heads):
-    plan = attention_plan(extents, window, qkv.shape[1] // (3 * heads))
+    plan = attention_plan(extents, window, qkv.shape[1] // (3 * heads), heads)
     return ad.neighborhood_attention(qkv, plan, heads)
 
 
@@ -293,7 +301,7 @@ def _check_primitive_against_oracle(extents, window, heads, dh, seed):
     ref = backward(ref_out, seed=seed_out, leaves=[ref_in])[ref_in]
     assert _rel(out.values, ref_out.values) < 1e-13
     assert _rel(got, ref) < 1e-13
-    shown = ad.neighborhood_weights(qkv_np, attention_plan(extents, window, dh), heads)
+    shown = ad.neighborhood_weights(qkv_np, attention_plan(extents, window, dh, heads), heads)
     assert _rel(shown, weights) < 1e-13
 
 
@@ -351,8 +359,8 @@ class TestFusedPrimitive:
     def test_inverse_table_lists_every_window_position_in_order(self):
         # bumped depth and row windows put boundary tokens in more windows
         # than a token has neighbors; backward sums over exactly these lists
-        plan = attention_plan((3, 5, 6), (3, 3, 3), 6)
-        table, inv = plan.table, plan.inverse
+        plan = attention_plan((3, 5, 6), (3, 3, 3), 6, 1)
+        table, inv = plan.table, plan.backward().inverse
         t, k = table.shape
         counts = np.bincount(table.ravel(), minlength=t)
         assert counts.max() > k and inv.shape == (t, counts.max())
@@ -361,9 +369,24 @@ class TestFusedPrimitive:
             assert held.tolist() == np.flatnonzero(table.ravel() == n).tolist()
             assert (inv[n][counts[n]:] == t * k).all()
 
+    def test_only_a_recorded_forward_builds_the_backward_tables(self, monkeypatch):
+        # the random geometries above stay under 9 columns, so this plan is fresh
+        ext, win, heads = (2, 3, 9), (1, 3, 5), 2
+        built, build = [], attention._backward_plan
+        monkeypatch.setattr(attention, "_backward_plan", lambda *a: built.append(a) or build(*a))
+        qkv = Tensor(RNG.standard_normal((54, 36)), requires_grad=True)
+        with ad.no_grad():
+            _primitive(qkv, ext, win, heads)
+        assert built == []
+        y = _primitive(qkv, ext, win, heads)
+        assert len(built) == 1
+        backward(y.sum(), leaves=[qkv])
+        _primitive(qkv, ext, win, heads)
+        assert len(built) == 1
+
     def test_bad_inputs_raise_shape_error(self):
         qkv = Tensor(RNG.standard_normal((6, 36)))
-        plan = attention_plan((1, 2, 3), (1, 1, 3), 6)
+        plan = attention_plan((1, 2, 3), (1, 1, 3), 6, 2)
         with pytest.raises(ad.ShapeError):
             ad.neighborhood_attention(qkv, plan, 5)  # 36 not 3 * 5 * 6
         with pytest.raises(ad.ShapeError):
@@ -373,12 +396,12 @@ class TestFusedPrimitive:
                                                    ((1, 1, 3), 7), ((1, 1, 3), 4)])
     def test_bad_geometry_raises_config_error_while_the_plan_is_built(self, window, head_dim):
         with pytest.raises(ConfigError):
-            attention_plan((1, 2, 3), window, head_dim)
+            attention_plan((1, 2, 3), window, head_dim, 1)
 
     def test_plan_is_built_once_read_only_and_sorts_nothing_in_backward(self, monkeypatch):
-        plan = attention_plan(DESK_EXT, DESK_WIN, DESK_DIM // DESK_HEADS)
-        assert attention_plan(DESK_EXT, DESK_WIN, DESK_DIM // DESK_HEADS) is plan
-        for name, arr in plan._asdict().items():
+        plan = attention_plan(DESK_EXT, DESK_WIN, DESK_DIM // DESK_HEADS, DESK_HEADS)
+        assert attention_plan(DESK_EXT, DESK_WIN, DESK_DIM // DESK_HEADS, DESK_HEADS) is plan
+        for name, arr in {**plan._asdict(), **plan.backward()._asdict()}.items():
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError):
                 arr.flat[0] = 0
@@ -410,12 +433,13 @@ class TestFusedBlock:
             assert run(np.roll(x, shift, axis=2)).tobytes() == np.roll(y, shift, axis=2).tobytes()
 
     def test_desk_processor_block_tape_is_smaller(self):
-        # the composed block recorded 51 nodes pinning 4,918,776 B; gelu saving
-        # its derivative alone, not its input and cdf, took 1,621,152 B down
+        # the composed block recorded 51 nodes pinning 4,918,776 B; now gelu
+        # saves its derivative alone, and the wo, w1, w2 and ln-gain values
+        # that nodes save are parameter slots' values, which meter nothing
         params = init_block_params(np.random.default_rng(0), DESK_DIM, DESK_HEADS, "proc6.blk0",
                                    zero_residual=False)
         x = Tensor(RNG.standard_normal((int(np.prod(DESK_EXT)), DESK_DIM)), requires_grad=True)
         ad.reset_tape_stats()
         natten_block(x, params, "proc6.blk0", DESK_EXT, DESK_WIN, DESK_HEADS)
         stats = ad.tape_stats()
-        assert (stats.nodes_created, stats.saved_bytes_current) == (16, 1_390_752)
+        assert (stats.nodes_created, stats.saved_bytes_current) == (16, 1_224_096)

@@ -375,6 +375,29 @@ class TestTape:
         grads = backward(y.sum(), leaves=[a])
         assert np.isfinite(grads[a]).all()
 
+    def test_a_buffer_saved_twice_is_metered_once(self):
+        # d * d saves d's values for each side; the meter counts the buffer once
+        a = t(RNG.standard_normal((4, 3)))
+        ad.reset_tape_stats()
+        d = ad.gelu(a)
+        y = d * d
+        stats = ad.tape_stats()
+        assert (stats.saved_current, stats.saved_bytes_current) == (2, 2 * d.nbytes)  # and gelu's
+        backward(y.sum(), leaves=[a])
+        assert (stats.saved_current, stats.saved_bytes_current) == (0, 0)
+
+    def test_a_matmul_against_a_parameter_meters_no_parameter_bytes(self):
+        # the node holds the parameter as its slot; only x's values are the graph's
+        w = t(RNG.standard_normal((3, 5)))
+        x = t(RNG.standard_normal((4, 3))).reshape(4, 3)  # an intermediate that saves nothing
+        ad.reset_tape_stats()
+        y = ad.matmul(x, w)
+        stats = ad.tape_stats()
+        assert (stats.saved_current, stats.saved_bytes_current) == (2, x.nbytes)
+        backward(y.sum(), leaves=[w])
+        assert (stats.saved_current, stats.saved_bytes_current, stats.saved_bytes_peak) == \
+            (0, 0, x.nbytes)
+
     def test_no_grad_builds_no_tape(self):
         a = t(RNG.standard_normal(3))
         with ad.no_grad():

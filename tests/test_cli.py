@@ -235,6 +235,15 @@ class TestForecastEvaluate:
         assert err.startswith("error: data: ") and "dec.head_sfc.b" in err, err
         assert not out.exists()
 
+    def test_loaded_parameters_are_aligned_and_own_their_memory(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "p.lmtw"
+        save_params_file(path, {k: v.values for k, v in init_model_params(cfg, seed=4).items()})
+        assert not all(a.flags.aligned for a in load_params_file(path).values())  # file views
+        for name, tensor in cli._load_params_tensors(path, cfg).items():
+            a = tensor.values
+            assert a.flags.aligned and a.flags.owndata and a.base is None, name
+
     @pytest.mark.parametrize("name, shape, named", [
         ("proc6.blk1.mlp.w2", None, "proc6.blk1.mlp.w2"),
         ("enc.stem_sfc.b", None, "enc.stem_sfc.b"),

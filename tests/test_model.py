@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gridcast.autodiff as ad
+import gridcast.attention as attention
 import gridcast.model as gm
 from gridcast import training
 from gridcast.attention import init_block_params, natten_block
@@ -171,6 +172,24 @@ class TestForwardShapes:
         assert out.surface.shape == (cfg.surface_out, g.rows, g.cols)
         assert out.atmos.shape == (cfg.atmos_vars, cfg.levels, g.rows, g.cols)
         assert out.valid_time == 7
+
+    def test_encode_builds_backward_tables_only_with_grad_and_first(self, tiny, monkeypatch):
+        # a no_grad forecast never reads them; a training encode builds them
+        # before the pyramid allocates, so they never sit above a freed graph
+        cfg, params = tiny
+        memo = {}
+        monkeypatch.setattr(attention, "_BACKWARD_PLANS", memo)
+        with ad.no_grad():
+            encode(random_state(cfg), params, cfg)
+        assert memo == {}
+        down = gm._pyramid_down
+
+        def pyramid_down(*args):
+            assert len(memo) == 1
+            return down(*args)
+        monkeypatch.setattr(gm, "_pyramid_down", pyramid_down)
+        encode(random_state(cfg), params, cfg)
+        assert len(memo) == 1
 
     def test_encode_rejects_wrong_shapes(self, tiny):
         cfg, params = tiny

@@ -105,10 +105,10 @@ def commands(good, role: str, path: Path) -> list[list]:
                 "--init", good["data"], "--init-hour", "0", "--dt", "7",
                 "--out", "{out}/fc.lmtw"]
     train = ["train", "--config", files["config"], "--data", good["data"], "--stage",
-             "pretrain", "--steps", "1", "--params", files["params"], "--out", "{out}/run"]
+             "pretrain", "--steps", "1", "--out", "{out}/run"]
     return {
-        "config": [forecast, train[:-4] + ["--out", "{out}/run"]],
-        "params": [forecast, train],
+        "config": [forecast, train],  # train from a seeded init
+        "params": [forecast, train + ["--params", files["params"]]],
         "forecast": [["evaluate", "--forecast", path, "--truth", good["data"],
                       "--wavelength-km", "12000", "--out", "{out}/e.json"]],
         "report": [["scorecard", "--a", path, "--b", good["report"], "--out", "{out}/s.json"],

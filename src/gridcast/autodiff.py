@@ -966,9 +966,8 @@ def _correlate(phases: np.ndarray, wt: np.ndarray, geo: _Geometry) -> np.ndarray
     out = np.zeros((wt.shape[2], geo.span))
     for i, j, p, sl in _taps(geo):
         out += wt[i, j] @ phases[p][:, sl]
-    return np.lib.stride_tricks.as_strided(out, (out.shape[0], ho, wo),
-                                           (out.strides[0], wq * out.itemsize, out.itemsize),
-                                           writeable=False)
+    return np.ndarray((out.shape[0], ho, wo), buffer=out,
+                      strides=(out.strides[0], wq * out.itemsize, out.itemsize))
 
 
 def _correlate_adjoint(span: np.ndarray, wt: np.ndarray, geo: _Geometry) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 The package is organized bottom-up:
 
-    autodiff       dense float64 tensors with reverse-mode differentiation
+    autodiff       dense float64 tensors with reverse-mode differentiation; segment
+                   checkpoints that pin one input per segment
     serialization  binary parameter container
-    offload        synchronous segment store that keeps rollout inputs off the tape
     grid           lat-lon geometry, weights, neighborhoods, static fields
     attention      rotary neighborhood attention transformer blocks
     model          encoder / processors / decoder, source blending, configs
@@ -13,6 +13,7 @@ The package is organized bottom-up:
     training       multi-horizon curriculum, staged fine-tuning, optimizer
     evaluation     weighted RMSE, zonal spectra, sharpness, ensemble curves
     cli            subcommand front end over the above, and run manifests
+    offload        a stub kept for the benchmark harness, which still wraps it
 """
 
 __version__ = "0.1.0"

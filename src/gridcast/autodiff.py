@@ -2,12 +2,11 @@
 
 Double-precision numpy arrays under the hood, a tape built implicitly out of
 node references, and one segment-checkpoint mechanism that discards
-intermediates on the forward pass and recomputes them during backward.  A
-segment's input is kept by a store: pinned on the tape by default, or copied
-into a slot of an offload.OffloadEngine.  All primitives are
-deterministic: two runs over identical inputs produce bitwise-identical
-outputs and gradients, which is what lets checkpointed and non-checkpointed
-executions be compared exactly.
+intermediates on the forward pass and recomputes them during backward; a
+segment's node pins its input.  All primitives are deterministic: two runs
+over identical inputs produce bitwise-identical outputs and gradients, which
+is what lets checkpointed and non-checkpointed executions be compared
+exactly.
 
 The graph holds only what backward reads.  A node keeps a slot per parent
 (the parent's node for an intermediate, the tensor itself for a leaf that
@@ -50,7 +49,7 @@ class ShapeError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """Misuse of the tape: non-scalar root, repeated backward, dead tensor."""
+    """Misuse of the tape: non-scalar root, repeated backward, segment escape."""
 
 
 class _State:
@@ -68,10 +67,13 @@ class TapeStats:
     counts as nothing.  saved_bytes_current and saved_bytes_peak meter their
     bytes, less the values of a node's leaf parents: the node holds such a
     leaf (a parameter, say) as its slot, so saving its values costs the
-    graph nothing more.
+    graph nothing more.  A node releases what this meter counted for it when
+    it was recorded, and nothing if the meter was reset since, so a reset
+    while a graph lives never drives the counters negative.
     """
 
-    def __init__(self):
+    def __init__(self, epoch: int = 0):
+        self.epoch = epoch
         self.nodes_created = 0
         self.saved_current = 0
         self.saved_bytes_current = 0
@@ -89,19 +91,23 @@ class TapeStats:
                 held[id(a)] = 0 if id(a) in lent else a.nbytes
         return held
 
-    def _on_save(self, saved, parents):
+    def _on_save(self, saved, parents) -> tuple:
+        """Meter a node's saved buffers; returns (epoch, count, bytes) for release."""
         held = self._buffers(saved, parents)
-        self.saved_current += len(held)
-        self.saved_bytes_current += sum(held.values())
+        count, nbytes = len(held), sum(held.values())
+        self.saved_current += count
+        self.saved_bytes_current += nbytes
         self.saved_bytes_peak = max(self.saved_bytes_peak, self.saved_bytes_current)
+        return self.epoch, count, nbytes
 
-    def _on_release(self, saved, parents):
-        held = self._buffers(saved, parents)
-        self.saved_current -= len(held)
-        self.saved_bytes_current -= sum(held.values())
+    def _on_release(self, metered: tuple):
+        epoch, count, nbytes = metered
+        if epoch == self.epoch:
+            self.saved_current -= count
+            self.saved_bytes_current -= nbytes
 
     def reset(self):
-        self.__init__()
+        self.__init__(self.epoch + 1)
 
 
 _state = _State()
@@ -155,11 +161,12 @@ class TapeNode:
     nothing.  rule is called as rule(grad_out, saved, add), where add(slot,
     grad) accumulates into a parent's gradient; it closes over slots and
     shapes only.  gen orders node creation so a checkpoint recompute can
-    detect escapes into an older graph.  A swept node drops saved, parents
-    and rule, so the graph behind a root frees while the root lives.
+    detect escapes into an older graph; metered is what the tape meter
+    counted for saved.  A swept node drops saved, parents and rule, so the
+    graph behind a root frees while the root lives.
     """
 
-    __slots__ = ("op", "parents", "saved", "rule", "consumed", "gen")
+    __slots__ = ("op", "parents", "saved", "rule", "consumed", "gen", "metered")
 
     def __init__(self, op: str, parents, saved, rule):
         global _GEN
@@ -173,11 +180,11 @@ class TapeNode:
         st = _state.stats
         st.nodes_created += 1
         if self.saved:
-            st._on_save(self.saved, self.parents)
+            self.metered = st._on_save(self.saved, self.parents)
 
     def release(self):
         if self.saved:
-            _state.stats._on_release(self.saved, self.parents)
+            _state.stats._on_release(self.metered)
             self.saved = ()
         self.parents = ()
         self.rule = None
@@ -228,10 +235,6 @@ class Tensor:
     def __repr__(self):
         g = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{g})"
-
-    def _check_alive(self, op: str):
-        if self.values is None:
-            raise GraphError(f"{op}: tensor values were evicted; dead by contract")
 
     # arithmetic sugar; python scalars become constant 0-d tensors
     def __add__(self, other):
@@ -350,8 +353,6 @@ def _cross_saved(a: Tensor, b: Tensor, slots: tuple) -> tuple:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a._check_alive("add")
-    b._check_alive("add")
     try:
         out = a.values + b.values
     except ValueError:
@@ -369,8 +370,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a._check_alive("mul")
-    b._check_alive("mul")
     try:
         out = a.values * b.values
     except ValueError:
@@ -391,8 +390,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a._check_alive("matmul")
-    b._check_alive("matmul")
     if a.values.ndim < 2 or b.values.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least rank 2, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -479,7 +476,6 @@ def erf(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: Tensor) -> Tensor:
-    x._check_alive("gelu")
     xv = x.values
     cdf = erf(xv * _INV_SQRT2)
     cdf += 1.0
@@ -499,7 +495,6 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x._check_alive("softmax")
     xv = x.values
     shifted = xv - xv.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -519,7 +514,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    x._check_alive("layernorm")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layernorm: gain/bias {gain.shape}/{bias.shape} must be ({d},)")
@@ -549,7 +543,6 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tenso
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    x._check_alive("sum")
     out = x.values.sum(axis=axis, keepdims=keepdims)
     slots = _slots(x)
     if slots is None:
@@ -579,7 +572,6 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    x._check_alive("reshape")
     try:
         out = x.values.reshape(shape)
     except ValueError:
@@ -596,7 +588,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    x._check_alive("transpose")
     if sorted(a % x.values.ndim for a in axes) != list(range(x.values.ndim)):
         raise ShapeError(f"transpose: axes {axes} invalid for rank {x.values.ndim}")
     out = np.transpose(x.values, axes)
@@ -615,8 +606,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat: empty input list")
-    for t in tensors:
-        t._check_alive("concat")
     try:
         out = np.concatenate([t.values for t in tensors], axis=axis)
     except ValueError:
@@ -639,7 +628,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def getitem(x: Tensor, key) -> Tensor:
     """Basic (slice/int) indexing with a scatter backward."""
-    x._check_alive("getitem")
     out = x.values[key]
     slots = _slots(x)
     if slots is None:
@@ -663,7 +651,6 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
     idx, as numpy's unbuffered np.add.at does, so repeated indices sum
     deterministically and bitwise equal to that scatter.
     """
-    x._check_alive("take")
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError(f"take: index out of range for extent {x.shape[0]}")
@@ -791,7 +778,6 @@ def neighborhood_attention(qkv: Tensor, plan, heads: int) -> Tensor:
     order.  The inverse rotations run in the forward's (half, head, pair)
     order and write back through plan.qk_cols.
     """
-    qkv._check_alive("neighborhood_attention")
     out, q, k, v, weights = _attend("neighborhood_attention", qkv.values, plan, heads)
     slots = _slots(qkv)
     if slots is None:
@@ -893,8 +879,6 @@ def _axis_runs(extent: int, kernel: int, stride: int, pad_pair: tuple[int, int],
 
 def _conv_args(op, x, w, b, in_axis, extents, stride, pads, wrap) -> _Geometry:
     """Check a conv's operands, w's input channels on in_axis; the geometry from extents."""
-    x._check_alive(op)
-    w._check_alive(op)
     if w.values.ndim != 4:
         raise ShapeError(f"{op}: expected a 2-D kernel, got weight shape {w.shape}")
     if x.values.ndim not in (3, 4):
@@ -1167,57 +1151,27 @@ def backward(root: Tensor, seed=None, leaves: Iterable[Tensor] | None = None):
 # segment checkpointing
 # ---------------------------------------------------------------------------
 
-class _PinnedInput:
-    """Default segment store: the input array is pinned on the tape node."""
-
-    @staticmethod
-    def keep(x: Tensor, forward):
-        return (x.values,), None, forward()
-
-    @staticmethod
-    def restore(saved, key, replay):
-        return replay(saved[0])
-
-
-def checkpoint_segment(fn: Callable[[Tensor], Tensor], x: Tensor, store=None) -> Tensor:
+def checkpoint_segment(fn: Callable[[Tensor], Tensor], x: Tensor) -> Tensor:
     """Run fn(x) without recording its interior; recompute it in backward.
 
     fn must be a pure function of x and of leaf parameters it closes over.
     Gradients are bitwise-identical to the non-checkpointed execution because
     every primitive is deterministic.  Only the segment input is kept for
-    backward, by the store: the default pins it on the tape (one saved array
-    per segment instead of one per interior op); an offload.OffloadEngine
-    copies it into one of its slots instead, so the tape pins nothing.
-    Under no_grad this is fn(x) and the store is not touched.
-
-    A store has two methods.  store.keep(x, forward) runs forward() and
-    returns (saved, key, y): the arrays the tape node pins, a key for the
-    kept input, and forward()'s output.  store.restore(saved, key, replay)
-    runs in backward and returns replay(input_array).
+    backward: the node pins x's values, one saved array per segment instead
+    of one per interior op.  Under no_grad this is fn(x).
     """
-    x._check_alive("checkpoint_segment")
     if not _state.grad_enabled:
         return fn(x)
-    store = _PinnedInput if store is None else store
-    x_in = Tensor(x.values, copy=False)
-
-    def forward():
-        with no_grad():
-            return fn(x_in)
-
+    with no_grad():
+        y = fn(Tensor(x.values, copy=False))
     sx = _slot(x)
-    saved, key, y = store.keep(x, forward)
 
     def rule(g, saved, acc):
-        def replay(xv):
-            start_gen = _GEN + 1
-            with enable_grad():
-                x_re = Tensor(xv, requires_grad=True, copy=False)
-                y_re = fn(x_re)
-                sub = _backward_impl(y_re, np.asarray(g, dtype=np.float64), min_gen=start_gen)
-            return sub.pop(x_re, None), sub
-
-        gx, sub = store.restore(saved, key, replay)
+        start_gen = _GEN + 1
+        with enable_grad():
+            x_re = Tensor(saved[0], requires_grad=True, copy=False)
+            sub = _backward_impl(fn(x_re), np.asarray(g, dtype=np.float64), min_gen=start_gen)
+        gx = sub.pop(x_re, None)
         if gx is not None:
             acc(sx, gx)
         for p, gp in sub.items():  # leaf parameters: each is its own slot
@@ -1225,5 +1179,5 @@ def checkpoint_segment(fn: Callable[[Tensor], Tensor], x: Tensor, store=None) ->
 
     # node exists regardless of x.requires_grad: captured parameters inside
     # fn still need their gradients routed on the recompute pass
-    node = TapeNode("checkpoint", (sx,), saved, rule)
+    node = TapeNode("checkpoint", (sx,), (x.values,), rule)
     return Tensor(y.values, requires_grad=True, node=node, copy=False)

@@ -346,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--source", action="append",
                    help="input source name; repeat to blend several")
     f.add_argument("--offload", action="store_true",
-                   help="no effect: a forecast records no tape, so there is "
-                        "nothing to offload")
+                   help="accepted and ignored: a forecast records no tape, and "
+                        "checkpoint segments pin their inputs themselves")
 
     e = sub.add_parser("evaluate", help="score a forecast file against truth")
     e.add_argument("--forecast", required=True)

@@ -7,10 +7,9 @@ steps; the only grid-space work is the encode (one per blended source) at
 the start and one decode at the end.
 
 Each step is a checkpointed segment, so long rollouts keep a constant
-number of live intermediates.  The segment inputs are pinned on the tape, or
-copied into the slots of an OffloadEngine passed as the segment store, which
-keeps the tape's saved-bytes peak flat in the number of steps.  Under
-no_grad no segment is recorded and the engine stores nothing.  A step whose
+number of live intermediates.  checkpoint_segment pins one latent per
+segment, its input, so the tape's saved-bytes peak grows by exactly one
+latent per extra step.  Under no_grad no segment is recorded.  A step whose
 latent holds NaN or inf raises NumericsError naming the step.
 """
 
@@ -29,7 +28,6 @@ from .model import (
     encode_sources,
     process,
 )
-from .offload import OffloadEngine
 
 __all__ = ["greedy_plan", "plan_hours", "require_finite", "rollout", "forecast"]
 
@@ -63,8 +61,7 @@ def _check_plan(plan, params: dict, cfg: ModelConfig) -> None:
             raise ConfigError(f"parameters carry no {h} h processor, required by the plan")
 
 
-def rollout(lat: LatentState, plan, params: dict, cfg: ModelConfig,
-            engine: OffloadEngine | None = None) -> LatentState:
+def rollout(lat: LatentState, plan, params: dict, cfg: ModelConfig) -> LatentState:
     """Apply the plan's processors in sequence, entirely in latent space.
 
     The empty plan returns the input state unchanged.  Every step is a
@@ -84,7 +81,7 @@ def rollout(lat: LatentState, plan, params: dict, cfg: ModelConfig,
 
     tokens = lat.tokens
     for i, h in enumerate(plan, 1):
-        tokens = ad.checkpoint_segment(make_step(h), tokens, store=engine)
+        tokens = ad.checkpoint_segment(make_step(h), tokens)
         require_finite(f"rollout: latent after step {i} of {len(plan)} ({h} h)", tokens)
     return LatentState(tokens, lat.valid_time + plan_hours(plan), ext)
 

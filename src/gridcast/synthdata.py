@@ -313,16 +313,16 @@ def _read_header(head, size: int) -> _Header:
     return hdr
 
 
-def _require_finite(hdr: _Header, planes: np.ndarray, t0: int) -> None:
-    """Name the first non-finite value of planes, (time, plane, row, col) in file
-    order from the file's time index t0."""
-    if not np.isfinite(planes).all():
+def _require_finite(hdr: _Header, hour: np.ndarray, t: int) -> None:
+    """Name the first non-finite value of the planes of the file's hour t, (plane,
+    row, col) in file order."""
+    if not np.isfinite(hour).all():
         # planes are in file order, so the first bad value is in the first bad plane
-        n_planes, h, w = hdr.hour_shape
-        t, p = divmod(int(np.argmin(np.isfinite(planes))) // (h * w), n_planes)
+        _, h, w = hdr.hour_shape
+        p = int(np.argmin(np.isfinite(hour))) // (h * w)
         j, q = divmod(p - hdr.n_truth, hdr.n_in)
         field = f"truth plane {p}" if p < hdr.n_truth else f"source {j} plane {q}"
-        raise DataError(f"non-finite value in {field} at time index {t0 + t}")
+        raise DataError(f"non-finite value in {field} at time index {t}")
 
 
 def _dataset(hdr: _Header, times: np.ndarray, planes: np.ndarray) -> WeatherDataset:
@@ -345,7 +345,8 @@ def load_dataset(buf) -> WeatherDataset:
     times = np.frombuffer(buf, dtype="<i8", count=n, offset=off).astype(np.int64)
     _require_increasing(times)
     planes = buf[off + 8 * n:].view("<f4").reshape(n, *hdr.hour_shape)
-    _require_finite(hdr, planes, 0)
+    for t in range(n):  # an hour at a time, so the check's temporaries stay small
+        _require_finite(hdr, planes[t], t)
     return _dataset(hdr, times, planes)
 
 
@@ -383,5 +384,5 @@ def load_dataset_file(path, hours=None) -> WeatherDataset:
         for t in range(hdr.n_times):
             block = slots.get(t, spare)
             read_into(f, block, path)
-            _require_finite(hdr, block[None], t)
+            _require_finite(hdr, block, t)
     return _dataset(hdr, times[keep], planes)

@@ -3,8 +3,9 @@
 Each check is a small self-contained function that raises AssertionError
 with a reason on failure. They cover the load-bearing invariants: plan
 arithmetic, adjoint pairing of the convolution ops, rotational closure of
-the attention geometry, checkpoint and offload gradient parity, metric
-oracles, container round trips, and the curriculum schedule.
+the attention geometry, checkpointed against plain gradient parity and the
+tape peak's one latent per step, metric oracles, container round trips, and
+the curriculum schedule.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .grid import GridSpec, latitude_weights
-from .model import LatentState, init_model_params, tiny_config
-from .offload import OffloadEngine
+from .model import LatentState, init_model_params, process, tiny_config
 from .rollout import greedy_plan, rollout
 from .serialization import dump_params, load_params_file, save_params_file
 from .synthdata import dump_dataset, generate_dataset, load_dataset_file, save_dataset_file
@@ -72,33 +72,35 @@ def check_roll_equivariance():
         f"longitude roll changes outputs by {np.max(np.abs(rolled - ys))}"
 
 
-def check_offload_parity():
+def check_checkpoint_parity():
     cfg = tiny_config()
     params = init_model_params(cfg, seed=0, zero_residual=False)
-    rng = np.random.default_rng(2)
-    z0v = rng.standard_normal((cfg.tokens, cfg.hidden))
+    z0v = np.random.default_rng(2).standard_normal((cfg.tokens, cfg.hidden))
+    leaves = [params[k] for k in sorted(params)]
 
-    def run(engine, steps):
+    def run(steps, checkpointed):
         """Loss and gradient bytes, and the tape's saved-bytes peak."""
         ad.reset_tape_stats()
         z0 = Tensor(z0v, requires_grad=True)
-        z = rollout(LatentState(z0, 0, cfg.latent_extents), (6,) * steps, params,
-                    cfg, engine=engine).tokens
-        loss = (z * z).mean()
-        g = backward(loss, leaves=[z0])
-        return loss.values.tobytes() + g[z0].tobytes(), ad.tape_stats().saved_bytes_peak
+        lat = LatentState(z0, 0, cfg.latent_extents)
+        if checkpointed:
+            lat = rollout(lat, (6,) * steps, params, cfg)
+        else:
+            for _ in range(steps):
+                lat = process(lat, params, cfg, 6)
+        loss = (lat.tokens * lat.tokens).mean()
+        g = backward(loss, leaves=[z0] + leaves)
+        return (b"".join([loss.values.tobytes()] + [g[t].tobytes() for t in [z0] + leaves]),
+                ad.tape_stats().saved_bytes_peak)
 
-    offloaded, pinned = [], []
+    peaks = {}
     for steps in (1, 4, 16):
-        eng = OffloadEngine()
-        got, peak = run(eng, steps)
-        eng.close()
-        plain, pinned_peak = run(None, steps)
-        assert got == plain, f"offloaded gradients differ from plain at {steps} steps"
-        offloaded.append(peak)
-        pinned.append(pinned_peak)
-    assert offloaded[0] == offloaded[1] == offloaded[2], f"offloaded tape peak drifts: {offloaded}"
-    assert pinned[0] < pinned[1] < pinned[2], f"pinned tape peak does not grow: {pinned}"
+        got, peaks[steps] = run(steps, True)
+        assert got == run(steps, False)[0], \
+            f"checkpointed gradients differ from the plain chain at {steps} steps"
+    # z0 is a leaf the tape does not meter; each later segment pins one latent
+    want = {n: peaks[1] + (n - 1) * z0v.nbytes for n in peaks}
+    assert peaks == want, f"tape peaks {peaks}, want one latent per extra step {want}"
 
 
 def check_gradient_fd():
@@ -208,7 +210,7 @@ CHECKS = (
     ("plan-arithmetic", check_plan_arithmetic),
     ("conv-adjoint", check_conv_adjoint),
     ("roll-equivariance", check_roll_equivariance),
-    ("offload-parity", check_offload_parity),
+    ("checkpoint-parity", check_checkpoint_parity),
     ("gradient-fd", check_gradient_fd),
     ("rmse-oracle", check_rmse_oracle),
     ("parseval", check_parseval),

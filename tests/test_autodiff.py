@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -398,6 +399,19 @@ class TestTape:
         assert (stats.saved_current, stats.saved_bytes_current, stats.saved_bytes_peak) == \
             (0, 0, x.nbytes)
 
+    def test_a_reset_while_a_graph_lives_keeps_the_meter_non_negative(self):
+        # gelu's node was metered before the reset, so its release after it
+        # takes nothing from the new meter
+        a = t(RNG.standard_normal((4, 3)))
+        d = ad.gelu(a)
+        ad.reset_tape_stats()
+        y = d * d
+        stats = ad.tape_stats()
+        assert (stats.saved_current, stats.saved_bytes_current) == (1, d.nbytes)
+        backward(y.sum(), leaves=[a])
+        assert (stats.saved_current, stats.saved_bytes_current, stats.saved_bytes_peak) == \
+            (0, 0, d.nbytes)
+
     def test_no_grad_builds_no_tape(self):
         a = t(RNG.standard_normal(3))
         with ad.no_grad():
@@ -500,9 +514,73 @@ class TestCheckpoint:
         p2 = t(RNG.standard_normal((4, 4)))
         x = t(RNG.standard_normal((2, 4)))
         seg = _mlp_segment(p1, p2)
+        ad.reset_tape_stats()
         with ad.no_grad():
             y = checkpoint_segment(seg, x)
         assert y.node is None
+        assert (ad.tape_stats().nodes_created, ad.tape_stats().saved_current) == (0, 0)
+
+    def test_a_chain_matches_the_plain_one_and_pins_one_input_per_segment(self):
+        p1 = t(RNG.standard_normal((8, 8)) * 0.3)
+        p2 = t(RNG.standard_normal((8, 8)) * 0.3)
+        z0v = RNG.standard_normal((4, 8))
+
+        def seg(z):
+            return ad.gelu(ad.matmul(z, p1)) + ad.matmul(z, p2)
+
+        def run(n, checkpointed):
+            ad.reset_tape_stats()
+            z0 = t(z0v)
+            z = z0
+            for _ in range(n):
+                z = checkpoint_segment(seg, z) if checkpointed else seg(z)
+            loss = (z * z).mean()
+            grads = backward(loss, leaves=[z0, p1, p2])
+            return ([loss.values.tobytes()] + [grads[k].tobytes() for k in (z0, p1, p2)],
+                    ad.tape_stats().saved_bytes_peak)
+
+        peaks = {}
+        for n in (1, 4, 16):
+            got, peaks[n] = run(n, True)
+            assert got == run(n, False)[0]
+        # z0 is a leaf, lent to the tape; every later input is one more latent
+        assert peaks == {n: peaks[1] + (n - 1) * z0v.nbytes for n in peaks}
+
+    def test_a_segment_pins_its_input_buffer_and_copies_nothing(self):
+        p = t(RNG.standard_normal((64, 64)) * 0.1)
+        z0 = t(RNG.standard_normal((512, 64)))
+
+        def seg(z):
+            return ad.matmul(z, p)
+
+        z1 = checkpoint_segment(seg, z0)
+        pinned = weakref.ref(z1.values)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            z2 = checkpoint_segment(seg, z1)
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert z1.nbytes <= grown < z1.nbytes + z1.nbytes // 8  # the output, no copy
+        assert z2.node.saved[0] is z1.values
+        del z1
+        assert pinned() is not None  # the tape keeps the interior latent's buffer
+        backward(z2.sum(), leaves=[p])
+        assert pinned() is None  # and the sweep lets it go
+
+    def test_dropping_a_forward_only_chain_frees_its_pinned_inputs(self):
+        p1 = t(RNG.standard_normal((6, 6)))
+        p2 = t(RNG.standard_normal((6, 6)))
+        seg = _mlp_segment(p1, p2)
+        ad.reset_tape_stats()
+        z, refs = t(RNG.standard_normal((4, 6))), []
+        for _ in range(3):
+            z = checkpoint_segment(seg, z)
+            refs.append(weakref.ref(z.values))
+        assert ad.tape_stats().saved_current == 3
+        del z
+        assert all(r() is None for r in refs)
 
 
 # ---------------------------------------------------------------------------

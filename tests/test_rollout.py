@@ -15,7 +15,6 @@ from gridcast.model import (
     process,
     tiny_config,
 )
-from gridcast.offload import OffloadEngine
 from gridcast.rollout import forecast, greedy_plan, plan_hours, rollout
 from gridcast.training import add_source_encoders
 
@@ -139,24 +138,40 @@ class TestRollout:
         g_ck = backward(loss, leaves=leaves)
         assert [g_ck[t].tobytes() for t in leaves] == plain
 
-    def test_rollout_with_offload_engine_bitwise(self, setup):
-        cfg, params, state = setup
-        names = sorted(k for k in params if k.startswith("proc6."))
-        leaves = [params[k] for k in names]
+    def test_checkpointed_desk_rollout_matches_the_plain_chain(self):
+        """At 1, 4 and 16 steps, from an encode: the loss and every gradient equal
+        the un-checkpointed processor chain's bitwise, and the tape's saved-bytes
+        peak is the 1-step peak plus one latent per extra step.  The tiny config's
+        case is acceptance criterion 3."""
+        cfg = gm.desk_config()
+        params = init_model_params(cfg, seed=21, zero_residual=False)
+        rng = np.random.default_rng(4)
+        state = gm.WeatherState(
+            valid_time=0,
+            surface=rng.standard_normal((cfg.surface_in, cfg.grid.rows, cfg.grid.cols)),
+            atmos=rng.standard_normal((cfg.atmos_vars, cfg.levels, cfg.grid.rows,
+                                       cfg.grid.cols)))
+        leaves = [params[k] for k in sorted(params)]
 
-        def run(engine):
+        def run(n, checkpointed):
+            ad.reset_tape_stats()
             lat = encode(state, params, cfg)
-            out = rollout(lat, (6, 6, 6, 6), params, cfg, engine=engine)
-            loss = (out.tokens * out.tokens).mean()
+            if checkpointed:
+                lat = rollout(lat, (6,) * n, params, cfg)
+            else:
+                for _ in range(n):
+                    lat = process(lat, params, cfg, 6)
+            loss = (lat.tokens * lat.tokens).mean()
             grads = backward(loss, leaves=leaves)
-            return (loss.values.tobytes(), [grads[t].tobytes() for t in leaves])
+            return ([loss.values.tobytes()] + [grads[t].tobytes() for t in leaves],
+                    ad.tape_stats().saved_bytes_peak)
 
-        plain = run(None)
-        eng = OffloadEngine()
-        offloaded = run(eng)
-        assert plain == offloaded
-        assert eng.slots == {}  # backward consumed every kept input
-        eng.close()
+        peaks = {}
+        for n in (1, 4, 16):
+            got, peaks[n] = run(n, True)
+            assert got == run(n, False)[0], f"gradients differ at {n} steps"
+        latent = 8 * cfg.tokens * cfg.hidden
+        assert peaks == {n: peaks[1] + (n - 1) * latent for n in peaks}
 
     def test_forecast_dt_obeys_cap(self, setup):
         cfg, params, state = setup

@@ -378,3 +378,21 @@ def test_non_finite_message_matches_the_per_plane_walk(bad):
     with pytest.raises(DataError) as e:
         load_dataset(dump_dataset(ds))
     assert str(e.value) == want
+
+
+def test_whole_file_load_checks_finiteness_an_hour_at_a_time(tmp_path):
+    """The loader's finiteness check adds under two hours' worth of bytes to the
+    planes it keeps, however many hours the file holds."""
+    ds = small_ds(hours=31)
+    path = tmp_path / "d.wmd3"
+    save_dataset_file(ds, path)
+    hour_bytes = 4 * (ds.truth[0].size + ds.sources[0][0].size)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset_file(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= 32 * hour_bytes  # the one buffer the views share
+    assert peak - kept < 2 * hour_bytes, (peak - kept, hour_bytes)
+    assert loaded.truth.tobytes() == ds.truth.tobytes()

@@ -514,11 +514,22 @@ class TestCheckpoint:
         p2 = t(RNG.standard_normal((4, 4)))
         x = t(RNG.standard_normal((2, 4)))
         seg = _mlp_segment(p1, p2)
-        ad.reset_tape_stats()
         with ad.no_grad():
             y = checkpoint_segment(seg, x)
         assert y.node is None
-        assert (ad.tape_stats().nodes_created, ad.tape_stats().saved_current) == (0, 0)
+
+    def test_no_grad_segment_chain_pins_nothing(self):
+        p1 = t(RNG.standard_normal((4, 4)))
+        p2 = t(RNG.standard_normal((4, 4)))
+        z = t(RNG.standard_normal((2, 4)))
+        seg = _mlp_segment(p1, p2)
+        ad.reset_tape_stats()
+        with ad.no_grad():
+            for _ in range(3):
+                z = checkpoint_segment(seg, z)
+                assert z.node is None
+        stats = ad.tape_stats()
+        assert (stats.nodes_created, stats.saved_current, stats.saved_bytes_peak) == (0, 0, 0)
 
     def test_a_chain_matches_the_plain_one_and_pins_one_input_per_segment(self):
         p1 = t(RNG.standard_normal((8, 8)) * 0.3)
